@@ -129,11 +129,7 @@ type JobStatus struct {
 	Kind string `json:"kind"` // grid | study
 	// Hash is the content hash of the submitted document — the grid hash
 	// for grid jobs, the study hash for study jobs.
-	Hash string `json:"hash"`
-	// GridHash is a deprecated alias of Hash: the field predates study
-	// jobs and its name is a misnomer for them. Kept for wire
-	// compatibility; new code reads Hash.
-	GridHash  string     `json:"grid_hash"`
+	Hash      string     `json:"hash"`
 	State     string     `json:"state"` // running | done | failed | cancelled
 	Done      int        `json:"done"`
 	Total     int        `json:"total"`
@@ -169,10 +165,8 @@ type TraceCellHeader struct {
 // JobSubmitted is the 202 body of an async submission.
 type JobSubmitted struct {
 	JobID string `json:"job_id"`
-	// Hash is the content hash of the submitted document; GridHash is its
-	// deprecated alias (see JobStatus.GridHash).
+	// Hash is the content hash of the submitted document.
 	Hash      string `json:"hash"`
-	GridHash  string `json:"grid_hash"`
 	StatusURL string `json:"status_url"`
 	StreamURL string `json:"stream_url"`
 }

@@ -67,8 +67,8 @@ func TestTypedClientRoundTrip(t *testing.T) {
 	if err != nil || st.State != "done" {
 		t.Fatalf("wait: %v (state %q)", err, st.State)
 	}
-	if st.Hash != sub.Hash || st.GridHash != sub.Hash {
-		t.Errorf("job hashes %q/%q, want %q", st.Hash, st.GridHash, sub.Hash)
+	if st.Hash != sub.Hash {
+		t.Errorf("job hash %q, want %q", st.Hash, sub.Hash)
 	}
 	replayed, study, err := c.StreamJob(ctx, sub.JobID, nil)
 	if err != nil || study != nil || replayed == nil {

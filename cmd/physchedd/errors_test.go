@@ -33,6 +33,8 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 		{"study malformed", "POST", "/v1/studies", `{not json`, 400, client.CodeBadRequest},
 		{"study over budget", "POST", "/v1/studies",
 			strings.Replace(studyBody, `"budget_cells": 12`, `"budget_cells": 5000`, 1), 422, client.CodeInvalidSpec},
+		{"study trace sync", "POST", "/v1/studies?trace=1", studyBody, 400, client.CodeBadRequest},
+		{"study trace async", "POST", "/v1/studies?async=1&trace=1", studyBody, 400, client.CodeBadRequest},
 		{"study list bad page", "GET", "/v1/studies?page=-1", "", 400, client.CodeBadRequest},
 		{"study report unknown", "GET", "/v1/studies/" + missing, "", 404, client.CodeNotFound},
 		{"jobs bad state filter", "GET", "/v1/jobs?state=bogus", "", 400, client.CodeBadRequest},

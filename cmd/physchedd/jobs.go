@@ -76,23 +76,31 @@ type job struct {
 	cacheHits int
 	errMsg    string
 	finished  time.Time
-	// traceData is the rendered per-cell trace JSONL of a ?trace=1 job,
-	// attached once execution finishes (GET /v1/jobs/{id}/trace). Held
-	// in memory only — traces do not survive a restart; a resumed
-	// traced job regenerates its trace by re-running.
+	// traceData is the rendered per-cell trace JSONL of a ?trace=1 job
+	// (GET /v1/jobs/{id}/trace), attached when execution finishes and
+	// before the terminal line. Held in memory only — traces do not
+	// survive a restart; a resumed traced job regenerates its trace by
+	// re-running.
 	traceData []byte
 	traced    bool // submitted with ?trace=1
 }
 
-func newJob(kind, hash string, total int, clock func() time.Time) *job {
+// newJob builds a running job from its journal meta. A meta without an
+// id is a new submission: the job gets a fresh id and is created now.
+func newJob(meta journalMeta, clock func() time.Time) *job {
 	j := &job{
-		id:      newJobID(),
-		kind:    kind,
-		hash:    hash,
-		clock:   clock,
-		created: clock(),
-		state:   jobRunning,
-		total:   total,
+		id:        meta.ID,
+		kind:      meta.Kind,
+		hash:      meta.Hash,
+		requestID: meta.RequestID,
+		traced:    meta.Trace,
+		clock:     clock,
+		created:   meta.Created,
+		state:     jobRunning,
+		total:     meta.Total,
+	}
+	if j.id == "" {
+		j.id, j.created = newJobID(), clock()
 	}
 	j.cond = sync.NewCond(&j.mu)
 	return j
@@ -202,7 +210,7 @@ func (j *job) status() jobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := jobStatus{
-		ID: j.id, Kind: j.kind, Hash: j.hash, GridHash: j.hash, State: string(j.state),
+		ID: j.id, Kind: j.kind, Hash: j.hash, State: string(j.state),
 		Done: j.done, Total: j.total, CacheHits: j.cacheHits,
 		Created: j.created, AgeSec: j.clock().Sub(j.created).Seconds(),
 		Error: j.errMsg, RequestID: j.requestID,
@@ -218,7 +226,6 @@ func (j *job) submitted() jobSubmitted {
 	return jobSubmitted{
 		JobID:     j.id,
 		Hash:      j.hash,
-		GridHash:  j.hash,
 		StatusURL: "/v1/jobs/" + j.id,
 		StreamURL: "/v1/jobs/" + j.id + "/stream",
 	}
@@ -321,57 +328,37 @@ func (m *jobManager) counts() (byState map[jobState]int, evicted uint64) {
 	return byState, evicted
 }
 
-// jobParams identifies a new async job: its kind and content hash, the
-// progress total, the journaled request body, and the observability
-// carry-overs (submitting request's correlation ID, trace flag).
-type jobParams struct {
-	kind      string // "grid" | "study"
-	hash      string
-	total     int
-	request   []byte
-	requestID string
-	traced    bool
-}
-
-// startJob launches run in the background as a tracked, cancellable job.
-// The job runs to completion even if the submitter disconnects — that is
-// the point of async submission — and releases its admission slot when
-// execution finishes. DELETE /v1/jobs/{id} cancels it through its
-// context. p.request is the original document body, journaled so the job
-// can be restarted from the state dir after process death. run receives
-// the job itself so post-execution artefacts (the rendered trace) can
-// attach before the goroutine exits.
-func (s *server) startJob(p jobParams, run func(ctx context.Context, j *job, emit func(any) error)) *job {
-	j := newJob(p.kind, p.hash, p.total, s.clock)
-	j.requestID = p.requestID
-	j.traced = p.traced
-	if p.traced {
-		s.traceJobs.Add(1)
-	}
+// addJob registers a running job for meta. With -state-dir its journal
+// starts over at the meta line, so a resumed job's stream restarts from
+// scratch; a journal that cannot be written degrades to memory-only
+// retention, and the job itself still runs.
+func (s *server) addJob(meta journalMeta) *job {
+	j := newJob(meta, s.clock)
 	if s.journal != nil {
-		w, err := s.journal.create(journalMeta{
-			Type: "meta", V: journalVersion, ID: j.id, Kind: p.kind, Hash: p.hash,
-			Total: p.total, Created: j.created, Request: p.request,
-			RequestID: p.requestID, Trace: p.traced,
-		})
-		if err == nil {
+		meta.Type, meta.V, meta.ID, meta.Created = "meta", journalVersion, j.id, j.created
+		if w, err := s.journal.create(meta); err == nil {
 			j.persist = w
 		}
-		// A journal that cannot be written degrades to memory-only
-		// retention; the job itself still runs.
 	}
 	s.jobs.add(j)
-	s.launch(j, run)
 	return j
 }
 
-// launch runs an added job's execution goroutine. The caller must hold
-// one admission slot (taken by admit for submissions, seized directly by
-// recovery); the goroutine releases it when execution finishes. The
-// finished job's end-to-end latency lands in the by-kind job histogram,
-// and one structured log line records the outcome under the submitting
-// request's correlation ID.
-func (s *server) launch(j *job, run func(ctx context.Context, j *job, emit func(any) error)) {
+// startJob registers a job for meta and runs p in the background as a
+// tracked, cancellable job. A submission passes meta without an id, so
+// the job gets a fresh one; crash recovery passes the journaled meta, so
+// the resumed job keeps its original id and creation time. meta.Request
+// is the original document body, journaled so the job can be restarted
+// after process death. The caller holds one admission slot (taken by
+// admit for submissions, seized directly by recovery), which the job
+// releases when execution finishes. The job runs to completion even if
+// the submitter disconnects — that is the point of async submission —
+// and DELETE /v1/jobs/{id} cancels it through its context. The finished
+// job's end-to-end latency lands in the by-kind job histogram, and one
+// structured log line records the outcome under the submitting request's
+// correlation ID.
+func (s *server) startJob(meta journalMeta, p *plan) *job {
+	j := s.addJob(meta)
 	ctx, cancel := context.WithCancel(context.Background())
 	j.cancel = cancel
 	s.jobsWG.Add(1)
@@ -380,7 +367,22 @@ func (s *server) launch(j *job, run func(ctx context.Context, j *job, emit func(
 		defer s.jobsWG.Done()
 		defer s.release()
 		defer cancel()
-		run(ctx, j, j.append)
+		// The terminal line is held back until the trace is attached, so
+		// a finished job never reads as having no trace.
+		var terminal any
+		trace := p.run(ctx, func(v any) error {
+			if _, ok := v.(progressLine); ok {
+				return j.append(v)
+			}
+			terminal = v
+			return nil
+		})
+		j.mu.Lock()
+		j.traceData = trace
+		j.mu.Unlock()
+		if terminal != nil {
+			j.append(terminal)
+		}
 		j.seal()
 		j.mu.Lock()
 		state, errMsg := j.state, j.errMsg
@@ -399,13 +401,18 @@ func (s *server) launch(j *job, run func(ctx context.Context, j *job, emit func(
 			slog.String("error", errMsg),
 		)
 	}()
+	return j
 }
 
-// attachTrace renders a traced grid plan's per-cell recorders into the
-// job's trace buffer: for each cell one header line (index, hash, label,
-// load, seed, event and dropped counts) followed by the cell's events,
-// all JSONL. Called from the job goroutine after execution finishes.
-func (s *server) attachTrace(j *job, p *gridPlan) {
+// renderTrace renders a traced grid plan's per-cell recorders as the
+// job's trace: for each cell one header line (index, hash, label, load,
+// seed, event and dropped counts) followed by the cell's events, all
+// JSONL. It returns nil for an untraced plan and non-nil otherwise, even
+// when empty, so "attached but empty" differs from "lost in a restart".
+func (s *server) renderTrace(p *gridPlan) []byte {
+	if p.recs == nil {
+		return nil
+	}
 	var buf bytes.Buffer
 	var events, dropped uint64
 	for i, rec := range p.recs {
@@ -432,13 +439,10 @@ func (s *server) attachTrace(j *job, p *gridPlan) {
 	}
 	s.traceEvents.Add(events)
 	s.traceDropped.Add(dropped)
-	data := buf.Bytes()
-	if data == nil {
-		data = []byte{} // distinguish "attached but empty" from "lost in a restart"
+	if buf.Len() == 0 {
+		return []byte{}
 	}
-	j.mu.Lock()
-	j.traceData = data
-	j.mu.Unlock()
+	return buf.Bytes()
 }
 
 // handleJobTrace serves a finished traced job's per-cell simulation

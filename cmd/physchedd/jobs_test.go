@@ -31,7 +31,7 @@ func postAsync(t *testing.T, ts *httptest.Server, body string) jobSubmitted {
 	if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil {
 		t.Fatal(err)
 	}
-	if sub.JobID == "" || sub.GridHash == "" {
+	if sub.JobID == "" || sub.Hash == "" {
 		t.Fatalf("bad submit body: %+v", sub)
 	}
 	return sub
@@ -127,7 +127,7 @@ func TestAsyncJobRoundTrip(t *testing.T) {
 	if st.State != string(jobDone) || st.Done != total || st.Total != total {
 		t.Fatalf("finished job status %+v, want done %d/%d", st, total, total)
 	}
-	if st.Finished == nil || st.GridHash != sub.GridHash {
+	if st.Finished == nil || st.Hash != sub.Hash {
 		t.Errorf("incomplete status document: %+v", st)
 	}
 
@@ -136,7 +136,7 @@ func TestAsyncJobRoundTrip(t *testing.T) {
 	if len(progress) != total {
 		t.Errorf("replayed %d progress lines, want %d", len(progress), total)
 	}
-	if result.GridHash != sub.GridHash || len(result.Cells) != total {
+	if result.GridHash != sub.Hash || len(result.Cells) != total {
 		t.Fatalf("bad replayed result line: %+v", result)
 	}
 	if len(result.Aggregates) != 2*2 {
@@ -356,7 +356,7 @@ func TestJobLifecycleFakeClock(t *testing.T) {
 	now := epoch
 	clock := func() time.Time { return now }
 
-	j := newJob("grid", "cafebabe", 4, clock)
+	j := newJob(journalMeta{Kind: "grid", Hash: "cafebabe", Total: 4}, clock)
 	if !j.created.Equal(epoch) {
 		t.Fatalf("created = %v, want %v", j.created, epoch)
 	}
@@ -387,7 +387,7 @@ func TestJobLifecycleFakeClock(t *testing.T) {
 
 	// Sealing a failed run stamps the same injected clock.
 	now = epoch.Add(10 * time.Minute)
-	k := newJob("study", "deadbeef", 1, clock)
+	k := newJob(journalMeta{Kind: "study", Hash: "deadbeef", Total: 1}, clock)
 	k.seal()
 	ks := k.status()
 	if ks.State != string(jobFailed) || ks.Finished == nil || !ks.Finished.Equal(now) {

@@ -3,14 +3,12 @@ package main
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -95,13 +93,6 @@ func (j *jobJournal) create(meta journalMeta) (*jobWriter, error) {
 		return nil, err
 	}
 	return &jobWriter{journal: j, f: f}, nil
-}
-
-// reset rewrites a recovered running job's file back to just its meta
-// line — the stream restarts from scratch — and returns a writer
-// appending to it.
-func (j *jobJournal) reset(meta journalMeta) (*jobWriter, error) {
-	return j.create(meta)
 }
 
 // remove deletes a job's journal file (retention eviction).
@@ -251,7 +242,7 @@ func (s *server) recoverJobs() error {
 			s.jobs.add(restoreJob(jf, s.clock))
 			continue
 		}
-		s.resumeJob(jf)
+		s.resumeJob(jf.meta)
 	}
 	return nil
 }
@@ -297,72 +288,29 @@ func terminalEnd(line []byte, clock func() time.Time) (*journalEnd, bool) {
 // timestamps and counters, with the raw stream lines as the replay
 // buffer — so a re-attached stream is byte-identical to the original.
 func restoreJob(jf journalFile, clock func() time.Time) *job {
-	j := &job{
-		id:        jf.meta.ID,
-		kind:      jf.meta.Kind,
-		hash:      jf.meta.Hash,
-		requestID: jf.meta.RequestID,
-		traced:    jf.meta.Trace,
-		clock:     clock,
-		created:   jf.meta.Created,
-		lines:     jf.lines,
-		state:     jobState(jf.end.State),
-		done:      jf.end.Done,
-		total:     jf.end.Total,
-		cacheHits: jf.end.CacheHits,
-		errMsg:    jf.end.Error,
-		finished:  jf.end.Finished,
-	}
+	j := newJob(jf.meta, clock)
+	j.lines = jf.lines
+	j.state = jobState(jf.end.State)
+	j.done, j.total, j.cacheHits = jf.end.Done, jf.end.Total, jf.end.CacheHits
+	j.errMsg, j.finished = jf.end.Error, jf.end.Finished
 	if !validJobState(jf.end.State) || j.state == jobRunning {
 		j.state = jobFailed
 		j.errMsg = "journal ended in an invalid state"
 	}
-	j.cond = sync.NewCond(&j.mu)
 	return j
 }
 
-// resumeJob restarts a job that was running when the process died: its
-// journal is reset to the meta line, the original request is re-planned,
-// and execution restarts under the original job id. The restarted run
-// reads the content cache, so cells the dead run completed are replayed
-// from cache rather than re-simulated. Re-planning failures surface as a
-// failed job, not a dead server.
-func (s *server) resumeJob(jf journalFile) {
-	j := newJob(jf.meta.Kind, jf.meta.Hash, jf.meta.Total, s.clock)
-	j.id = jf.meta.ID
-	j.created = jf.meta.Created
-	j.requestID = jf.meta.RequestID
-	j.traced = jf.meta.Trace
-	if w, err := s.journal.reset(jf.meta); err == nil {
-		j.persist = w
-	}
-	var run func(ctx context.Context, j *job, emit func(any) error)
-	switch jf.meta.Kind {
-	case "grid":
-		plan, _, err := s.planGrid(bytes.NewReader(jf.meta.Request))
-		if err == nil {
-			if jf.meta.Trace {
-				// The old process's in-memory trace died with it; the
-				// resumed run regenerates one (traced cells bypass the
-				// cache, so they re-simulate and re-record).
-				plan.enableTrace(s.maxTraceEvents)
-			}
-			run = func(ctx context.Context, j *job, emit func(any) error) {
-				s.runGrid(ctx, plan, emit)
-				if jf.meta.Trace {
-					s.attachTrace(j, plan)
-				}
-			}
-		}
-	case "study":
-		plan, _, err := s.planStudy(bytes.NewReader(jf.meta.Request))
-		if err == nil {
-			run = func(ctx context.Context, j *job, emit func(any) error) { s.runStudy(ctx, plan, emit) }
-		}
-	}
-	s.jobs.add(j)
-	if run == nil {
-		j.append(errorLine{Type: "error",
+// resumeJob restarts a job that was running when the process died: the
+// journaled request is re-planned through the submit path and execution
+// restarts under the original job id, with the journal starting over at
+// the meta line. The restarted run reads the content cache, so cells the
+// dead run completed are replayed from cache rather than re-simulated,
+// and a traced job regenerates the trace that died with the old process.
+// Re-planning failures surface as a failed job, not a dead server.
+func (s *server) resumeJob(meta journalMeta) {
+	p, _, err := s.planSubmission(meta.Kind, meta.Request, meta.Trace)
+	if err != nil {
+		s.addJob(meta).append(errorLine{Type: "error",
 			Error: "restart: journaled request no longer plans (changed limits or corrupt journal)"})
 		return
 	}
@@ -372,7 +320,7 @@ func (s *server) resumeJob(jf journalFile) {
 	s.mu.Lock()
 	s.inflight++
 	s.mu.Unlock()
-	s.launch(j, run)
+	s.startJob(meta, p)
 }
 
 // crash simulates process death for tests: journal writes stop (files

@@ -12,6 +12,14 @@
 // the admission bound with 429 instead of queueing it. Long campaigns
 // submit asynchronously (?async=1) and attach to the stream later.
 //
+// Grids and studies share one submit path: the body is planned (fully
+// validated; a grid's -max-cells cap is checked on the product of its
+// axis lengths before any cell is enumerated), admitted, and then either
+// streamed as NDJSON or, with ?async=1, started as a background job.
+// Crash recovery re-plans journaled jobs through the same path.
+// ?trace=1 records per-cell simulation traces for async grid jobs; it
+// is a 400 without ?async=1 and on studies, which have no cell traces.
+//
 // With -state-dir, async jobs are journaled to disk: finished jobs stay
 // queryable (and replay byte-identically) across restarts, and jobs that
 // were running when the process died restart automatically through the
@@ -49,6 +57,8 @@
 //	                              already finished)
 //	GET  /v1/jobs/{id}/stream     (re)attach to an async job's NDJSON
 //	                              stream; replays from the beginning
+//	GET  /v1/jobs/{id}/trace      finished ?trace=1 grid job's per-cell
+//	                              simulation trace (NDJSON)
 //	GET  /v1/results/{hash}       cached run result by spec hash
 //	GET  /v1/aggregates/{hash}    cached replica aggregate by hash
 //

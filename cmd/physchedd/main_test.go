@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -283,6 +285,36 @@ func TestRejectsOversizedGrids(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("status %d, want 422 for an 8-cell grid with a 3-cell limit", resp.StatusCode)
+	}
+}
+
+// TestCellCapCheckedBeforeEnumeration: an 8 KB body declaring 1000
+// loads × 1000 seeds is rejected against -max-cells from its axis
+// lengths alone. Enumerating the million cells before the check
+// allocated hundreds of megabytes on the way to the same 422.
+func TestCellCapCheckedBeforeEnumeration(t *testing.T) {
+	loads := make([]string, 1000)
+	seeds := make([]string, 1000)
+	for i := range loads {
+		loads[i] = strconv.Itoa(i + 1)
+		seeds[i] = strconv.Itoa(i + 1)
+	}
+	body := `{"base": {"policy": {"name": "outoforder"}, "load_jobs_per_hour": 1},
+		"loads": [` + strings.Join(loads, ",") + `], "seeds": [` + strings.Join(seeds, ",") + `]}`
+	pool := lab.NewPool(1)
+	t.Cleanup(pool.Close)
+	s := mustServer(t, serverConfig{Cache: resultcache.NewMemory(), Pool: pool, MaxCells: 10})
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, status, err := s.planGrid(strings.NewReader(body))
+	runtime.ReadMemStats(&after)
+	if status != http.StatusUnprocessableEntity || err == nil || !strings.Contains(err.Error(), "1000000 cells") {
+		t.Fatalf("status %d, err %v; want 422 naming the 1000000-cell product", status, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+		t.Errorf("rejecting an oversized grid allocated %d MB, want under 8 MB", alloc>>20)
 	}
 }
 

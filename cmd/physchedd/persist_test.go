@@ -2,14 +2,18 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"physched/client"
 	"physched/internal/lab"
 	"physched/internal/opt"
 	"physched/internal/resultcache"
@@ -83,8 +87,8 @@ func TestFinishedJobsSurviveRestart(t *testing.T) {
 		after.Total != before.Total || after.CacheHits != before.CacheHits {
 		t.Errorf("restored status %+v, want %+v", after, before)
 	}
-	if after.Hash != before.Hash || after.GridHash != before.Hash {
-		t.Errorf("restored hashes %q/%q, want %q", after.Hash, after.GridHash, before.Hash)
+	if after.Hash != before.Hash {
+		t.Errorf("restored hash %q, want %q", after.Hash, before.Hash)
 	}
 	if !after.Created.Equal(before.Created) {
 		t.Errorf("restored Created %v, want %v", after.Created, before.Created)
@@ -284,5 +288,148 @@ func TestResumeRespectsChangedLimits(t *testing.T) {
 	st := j.status()
 	if st.State != string(jobFailed) || st.Error == "" {
 		t.Errorf("unresumable job status %+v, want failed with an error message", st)
+	}
+}
+
+// journalOf reads job id's journal under stateDir as newline-terminated
+// lines: the meta line, the stream lines, then the end record.
+func journalOf(t *testing.T, stateDir, id string) [][]byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(stateDir, id+".job.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(b, []byte("\n"))
+	if len(lines) < 3 || len(lines[len(lines)-1]) != 0 ||
+		!bytes.HasPrefix(lines[len(lines)-2], []byte(`{"type":"end"`)) {
+		t.Fatalf("journal of %s is not meta, stream, end:\n%s", id, b)
+	}
+	return lines[:len(lines)-1]
+}
+
+// writeJournal writes a job journal into stateDir as recovery finds it.
+func writeJournal(t *testing.T, stateDir, id string, lines [][]byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(stateDir, id+".job.ndjson"), bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTornFinalJournalLineResumes: the process died mid-append, leaving a
+// torn final journal line. Recovery keeps every line before the tear and
+// resumes the job; on a cold cache and a one-worker pool, like the
+// original run, the resumed stream is byte-identical to the uninterrupted
+// one, and it replays byte-identically across one more restart.
+func TestTornFinalJournalLineResumes(t *testing.T) {
+	pool := lab.NewPool(1)
+	t.Cleanup(pool.Close)
+	state1 := t.TempDir()
+	_, ts1 := persistServer(t, t.TempDir(), state1, pool)
+	sub := postAsync(t, ts1, gridBody)
+	waitDone(t, ts1, sub.JobID)
+	want := rawStream(t, ts1, sub.JobID)
+	lines := journalOf(t, state1, sub.JobID)
+	ts1.Close()
+
+	// Keep the meta line and half the stream, then tear the next line.
+	keep := 1 + (len(lines)-2)/2
+	torn := append(append([][]byte(nil), lines[:keep]...), lines[keep][:len(lines[keep])/2])
+	cacheDir, state2 := t.TempDir(), t.TempDir()
+	writeJournal(t, state2, sub.JobID, torn)
+
+	pool2 := lab.NewPool(1)
+	t.Cleanup(pool2.Close)
+	_, ts2 := persistServer(t, cacheDir, state2, pool2)
+	if st := waitDone(t, ts2, sub.JobID); st.State != string(jobDone) {
+		t.Fatalf("resumed job finished in state %q (%s)", st.State, st.Error)
+	}
+	got := rawStream(t, ts2, sub.JobID)
+	if !bytes.Equal(want, got) {
+		t.Errorf("resumed stream differs from the uninterrupted run:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	ts2.Close()
+
+	_, ts3 := persistServer(t, cacheDir, state2, nil)
+	if replay := rawStream(t, ts3, sub.JobID); !bytes.Equal(got, replay) {
+		t.Errorf("resumed stream does not replay byte-identically after a restart:\nwant:\n%s\ngot:\n%s", got, replay)
+	}
+}
+
+// TestTerminalLineWithoutEndRestores: the process died between appending
+// a job's terminal stream line — result, study or error — and its end
+// record. Recovery rebuilds the end record from that line: the job comes
+// back finished, not re-run, with its status counters and a
+// byte-identical stream replay.
+func TestTerminalLineWithoutEndRestores(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		submit func(t *testing.T, pool *lab.Pool, ts *httptest.Server) string
+		// cancelled jobs end in an error line, which recovery can only
+		// read as failed: the cancellation request itself is not
+		// journaled.
+		cancelled bool
+	}{
+		{name: "result", submit: func(t *testing.T, _ *lab.Pool, ts *httptest.Server) string {
+			return postAsync(t, ts, gridBody).JobID
+		}},
+		{name: "study", submit: func(t *testing.T, _ *lab.Pool, ts *httptest.Server) string {
+			sub, err := client.New(ts.URL).SubmitStudy(ctx, []byte(studyBody))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sub.JobID
+		}},
+		{name: "error", cancelled: true, submit: func(t *testing.T, pool *lab.Pool, ts *httptest.Server) string {
+			// Park the only worker so the job is still running when the
+			// cancellation lands.
+			gate, started, blockerDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(blockerDone)
+				pool.Run(t.Context(), 1, func(int) { close(started); <-gate })
+			}()
+			<-started
+			id := postAsync(t, ts, gridBody).JobID
+			if _, err := client.New(ts.URL).CancelJob(ctx, id); err != nil {
+				t.Fatal(err)
+			}
+			close(gate)
+			<-blockerDone
+			return id
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := lab.NewPool(1)
+			t.Cleanup(pool.Close)
+			cacheDir, state1 := t.TempDir(), t.TempDir()
+			_, ts1 := persistServer(t, cacheDir, state1, pool)
+			id := tc.submit(t, pool, ts1)
+			before := waitDone(t, ts1, id)
+			want := rawStream(t, ts1, id)
+			lines := journalOf(t, state1, id)
+			ts1.Close()
+
+			state2 := t.TempDir()
+			writeJournal(t, state2, id, lines[:len(lines)-1]) // drop the end record
+			_, ts2 := persistServer(t, cacheDir, state2, nil)
+			after := getStatus(t, ts2, id)
+			if tc.cancelled {
+				if before.State != string(jobCancelled) {
+					t.Fatalf("original job ended %q, want cancelled", before.State)
+				}
+				if after.State != string(jobFailed) || after.Error != before.Error {
+					t.Errorf("restored status %+v, want failed with error %q", after, before.Error)
+				}
+			} else {
+				a, _ := json.Marshal(before)
+				b, _ := json.Marshal(after)
+				if before.State != string(jobDone) || !bytes.Equal(a, b) {
+					t.Errorf("restored status differs:\nbefore: %s\nafter:  %s", a, b)
+				}
+			}
+			if got := rawStream(t, ts2, id); !bytes.Equal(want, got) {
+				t.Errorf("replay is not byte-identical:\nwant:\n%s\ngot:\n%s", want, got)
+			}
+		})
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -194,8 +195,8 @@ func (s *server) routes() http.Handler {
 	mux.HandleFunc("GET /v1/policies", s.handlePolicies)
 	mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
 	mux.HandleFunc("POST /v1/specs", s.handleSpec)
-	mux.HandleFunc("POST /v1/grids", s.handleGrid)
-	mux.HandleFunc("POST /v1/studies", s.handleStudies)
+	mux.HandleFunc("POST /v1/grids", s.handleSubmit("grid"))
+	mux.HandleFunc("POST /v1/studies", s.handleSubmit("study"))
 	mux.HandleFunc("GET /v1/studies", s.handleStudyList)
 	mux.HandleFunc("GET /v1/studies/{hash}", s.handleStudyReport)
 	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
@@ -471,6 +472,54 @@ func (s *server) handleSpec(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, specResponse{Hash: hash, Result: stored})
 }
 
+// plan is a fully validated submission, ready to run: the content hash
+// of the submitted document, the progress total its job starts with, and
+// run, which executes it on the shared pool under ctx, calling emit
+// sequentially with every NDJSON line — progress lines, then exactly one
+// result, study or error line. run returns the rendered simulation trace
+// of a traced grid and nil otherwise.
+type plan struct {
+	hash  string
+	total int
+	run   func(ctx context.Context, emit func(any) error) (trace []byte)
+}
+
+// planSubmission turns a submission — its kind ("grid" or "study"), the
+// request body and the ?trace=1 flag — into a plan, or the HTTP status
+// and error to reject it with. The submit handler and crash recovery
+// both plan through here, so a resumed job is planned exactly like the
+// original submission.
+func (s *server) planSubmission(kind string, body []byte, traced bool) (*plan, int, error) {
+	switch kind {
+	case "grid":
+		g, status, err := s.planGrid(bytes.NewReader(body))
+		if err != nil {
+			return nil, status, err
+		}
+		if traced {
+			g.enableTrace(s.maxTraceEvents)
+		}
+		return &plan{hash: g.hash, total: len(g.cells), run: func(ctx context.Context, emit func(any) error) []byte {
+			s.runGrid(ctx, g, emit)
+			return s.renderTrace(g)
+		}}, 0, nil
+	case "study":
+		if traced {
+			return nil, http.StatusBadRequest,
+				errors.New("trace=1 applies to grid jobs only: a study has no per-cell simulation trace")
+		}
+		prep, status, err := s.planStudy(bytes.NewReader(body))
+		if err != nil {
+			return nil, status, err
+		}
+		return &plan{hash: prep.Hash, total: prep.Study.Search.BudgetCells, run: func(ctx context.Context, emit func(any) error) []byte {
+			s.runStudy(ctx, prep, emit)
+			return nil
+		}}, 0, nil
+	}
+	return nil, http.StatusBadRequest, fmt.Errorf("unknown submission kind %q", kind)
+}
+
 // gridPlan is a fully validated grid request: compiled, size-checked, and
 // with every cell and aggregate content key resolved upfront, so nothing
 // can fail between the first simulated cell and the final result line.
@@ -528,15 +577,17 @@ func (s *server) planGrid(body io.Reader) (*gridPlan, int, error) {
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
+	// The cap is checked on the axis lengths before Compile and Cells: a
+	// few-KB body can declare a billion-cell product.
+	if n := cellCount(g); s.maxCells > 0 && n > s.maxCells {
+		return nil, http.StatusUnprocessableEntity,
+			fmt.Errorf("grid has %d cells, limit is %d", n, s.maxCells)
+	}
 	lg, err := g.Compile()
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	cells := lg.Cells()
-	if s.maxCells > 0 && len(cells) > s.maxCells {
-		return nil, http.StatusUnprocessableEntity,
-			fmt.Errorf("grid has %d cells, limit is %d", len(cells), s.maxCells)
-	}
 	p := &gridPlan{
 		grid:   lg,
 		hash:   gridHash,
@@ -572,6 +623,21 @@ func (s *server) planGrid(body io.Reader) (*gridPlan, int, error) {
 		}
 	}
 	return p, 0, nil
+}
+
+// cellCount is the number of cells g enumerates — the product of its
+// variant, load and seed axis lengths, an empty axis counting once —
+// saturating at math.MaxInt instead of overflowing.
+func cellCount(g spec.Grid) int {
+	n := 1
+	for _, axis := range []int{len(g.Variants), len(g.Loads), len(g.Seeds)} {
+		axis = max(axis, 1)
+		if n > math.MaxInt/axis {
+			return math.MaxInt
+		}
+		n *= axis
+	}
+	return n
 }
 
 // streamExec is the shared shape of a streamed execution (grids and
@@ -663,67 +729,64 @@ func (s *server) resultLineFor(p *gridPlan, rs *lab.RunSet) resultLine {
 	return line
 }
 
-// handleGrid executes a declarative grid spec on the server's shared
-// pool. The synchronous form streams NDJSON progress under the request
-// context and finishes with a result line; with ?async=1 it returns 202
-// and a job id immediately (see jobs.go). Every cell is served from —
-// and saved to — the content-addressed cache, so re-POSTing a grid
-// re-simulates nothing.
-func (s *server) handleGrid(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	async := boolParam(r.URL.Query(), "async")
-	traced := boolParam(r.URL.Query(), "trace")
-	if traced && !async {
-		writeError(w, http.StatusBadRequest,
-			errors.New("trace=1 requires async=1: traces attach to jobs and are fetched from GET /v1/jobs/{id}/trace"))
-		return
-	}
-	plan, status, err := s.planGrid(bytes.NewReader(body))
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	if traced {
-		plan.enableTrace(s.maxTraceEvents)
-	}
-	if !s.admit() {
-		s.rejectNotAdmitted(w)
-		return
-	}
-	if async {
-		// startJob releases the admission slot when execution finishes.
-		job := s.startJob(jobParams{
-			kind: "grid", hash: plan.hash, total: len(plan.cells),
-			request: body, requestID: obs.RequestIDFrom(r.Context()), traced: traced,
-		}, func(ctx context.Context, j *job, emit func(any) error) {
-			s.runGrid(ctx, plan, emit)
+// handleSubmit serves POST /v1/grids and POST /v1/studies, one kind
+// each: it reads the body, plans it, takes an admission slot, and then
+// either starts a background job (?async=1: 202 and a job id, see
+// jobs.go) or streams NDJSON progress under the request context,
+// terminated by the result or study line. Every cell is served from —
+// and saved to — the content-addressed cache, so a re-POST re-simulates
+// nothing.
+func (s *server) handleSubmit(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		async, traced := boolParam(r.URL.Query(), "async"), boolParam(r.URL.Query(), "trace")
+		if traced && !async {
+			writeError(w, http.StatusBadRequest,
+				errors.New("trace=1 requires async=1: traces attach to jobs and are fetched from GET /v1/jobs/{id}/trace"))
+			return
+		}
+		p, status, err := s.planSubmission(kind, body, traced)
+		if err != nil {
+			writeError(w, status, err)
+			return
+		}
+		if !s.admit() {
+			s.rejectNotAdmitted(w)
+			return
+		}
+		if async {
 			if traced {
-				s.attachTrace(j, plan)
+				s.traceJobs.Add(1)
 			}
-		})
-		w.Header().Set("Location", "/v1/jobs/"+job.id)
-		writeJSON(w, http.StatusAccepted, job.submitted())
-		return
-	}
-	defer s.release()
+			// startJob releases the admission slot when execution finishes.
+			j := s.startJob(journalMeta{
+				Kind: kind, Hash: p.hash, Total: p.total, Request: body,
+				RequestID: obs.RequestIDFrom(r.Context()), Trace: traced,
+			}, p)
+			w.Header().Set("Location", "/v1/jobs/"+j.id)
+			writeJSON(w, http.StatusAccepted, j.submitted())
+			return
+		}
+		defer s.release()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	s.runGrid(r.Context(), plan, func(v any) error {
-		if err := enc.Encode(v); err != nil {
-			return err // dead connection: stop the stream
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		w.WriteHeader(http.StatusOK)
+		flusher, _ := w.(http.Flusher)
+		enc := json.NewEncoder(w)
+		p.run(r.Context(), func(v any) error {
+			if err := enc.Encode(v); err != nil {
+				return err // dead connection: stop the stream
+			}
+			if flusher != nil {
+				flusher.Flush()
+			}
+			return nil
+		})
+	}
 }
 
 // handleResult serves a cached run result by its spec hash.

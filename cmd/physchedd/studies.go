@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,23 +9,14 @@ import (
 	"sort"
 	"sync"
 
-	"physched/internal/obs"
 	"physched/internal/opt"
 )
-
-// studyPlan is a fully validated study request: prepared once (validated,
-// normalised, hashed, space enumerated) and run as-is.
-type studyPlan struct {
-	prep *opt.Prepared
-}
-
-func (p *studyPlan) hash() string { return p.prep.Hash }
 
 // planStudy parses and fully validates one study request body, returning
 // the HTTP status to report on failure. The budget is bounded by
 // -max-cells: a study charges at most budget cells, so the same knob
 // that caps grids caps searches.
-func (s *server) planStudy(body io.Reader) (*studyPlan, int, error) {
+func (s *server) planStudy(body io.Reader) (*opt.Prepared, int, error) {
 	st, err := opt.Parse(body)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -40,22 +29,22 @@ func (s *server) planStudy(body io.Reader) (*studyPlan, int, error) {
 		return nil, http.StatusUnprocessableEntity,
 			fmt.Errorf("study budget is %d cells, limit is %d", prep.Study.Search.BudgetCells, s.maxCells)
 	}
-	return &studyPlan{prep: prep}, 0, nil
+	return prep, 0, nil
 }
 
-// runStudy executes the plan on the server's shared pool under ctx,
-// calling emit sequentially with every NDJSON line: progress lines, then
-// exactly one study or error line. Candidate evaluations read and feed
+// runStudy executes the prepared study on the server's shared pool under
+// ctx, calling emit sequentially with every NDJSON line: progress lines,
+// then exactly one study or error line. Candidate evaluations read and feed
 // the server's content-addressed cache, so a re-POSTed study re-simulates
 // nothing; the finished report is additionally retained in memory for
 // GET /v1/studies/{hash}. A failed emit (disconnected client) stops
 // further writes without aborting the search — cancelling is ctx's job.
-func (s *server) runStudy(ctx context.Context, p *studyPlan, emit func(any) error) {
+func (s *server) runStudy(ctx context.Context, prep *opt.Prepared, emit func(any) error) {
 	// Channel slack: successive halving re-reads each rung's earlier
 	// replications, so the executed cell count exceeds the budget by at
 	// most a factor of eta/(eta-1) ≤ 2.
-	streamExec(2*p.prep.Study.Search.BudgetCells+64, func(progress func(progressLine)) (*opt.Report, error) {
-		return p.prep.Run(opt.Options{
+	streamExec(2*prep.Study.Search.BudgetCells+64, func(progress func(progressLine)) (*opt.Report, error) {
+		return prep.Run(opt.Options{
 			Pool:    s.pool,
 			Context: ctx,
 			Cache:   s.cache,
@@ -68,55 +57,9 @@ func (s *server) runStudy(ctx context.Context, p *studyPlan, emit func(any) erro
 			},
 		})
 	}, func(report *opt.Report) any {
-		s.studies.put(p.hash(), report)
-		return studyLine{Type: "study", StudyHash: p.hash(), Report: report}
+		s.studies.put(prep.Hash, report)
+		return studyLine{Type: "study", StudyHash: prep.Hash, Report: report}
 	}, emit)
-}
-
-// handleStudies executes a budgeted scenario search (internal/opt) on the
-// server's shared pool. The synchronous form streams NDJSON progress
-// under the request context and finishes with a study line carrying the
-// report; with ?async=1 it returns 202 and a job id immediately, sharing
-// the grid jobs' lifecycle endpoints (status, stream, list, cancel).
-func (s *server) handleStudies(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	plan, status, err := s.planStudy(bytes.NewReader(body))
-	if err != nil {
-		writeError(w, status, err)
-		return
-	}
-	if !s.admit() {
-		s.rejectNotAdmitted(w)
-		return
-	}
-	if boolParam(r.URL.Query(), "async") {
-		job := s.startJob(jobParams{
-			kind: "study", hash: plan.hash(), total: plan.prep.Study.Search.BudgetCells,
-			request: body, requestID: obs.RequestIDFrom(r.Context()),
-		}, func(ctx context.Context, j *job, emit func(any) error) { s.runStudy(ctx, plan, emit) })
-		w.Header().Set("Location", "/v1/jobs/"+job.id)
-		writeJSON(w, http.StatusAccepted, job.submitted())
-		return
-	}
-	defer s.release()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	s.runStudy(r.Context(), plan, func(v any) error {
-		if err := enc.Encode(v); err != nil {
-			return err // dead connection: stop the stream
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
 }
 
 // handleStudyReport serves a finished study's report by its study hash.

@@ -167,7 +167,7 @@ func TestAsyncStudyJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := waitDone(t, ts, sub.JobID)
-	if st.State != string(jobDone) || st.Kind != "study" || st.GridHash != sub.GridHash {
+	if st.State != string(jobDone) || st.Kind != "study" || st.Hash != sub.Hash {
 		t.Fatalf("finished study job status %+v", st)
 	}
 
@@ -187,11 +187,11 @@ func TestAsyncStudyJob(t *testing.T) {
 	if err := json.Unmarshal(last, &study); err != nil || study.Type != "study" {
 		t.Fatalf("stream did not end with a study line: %q (%v)", last, err)
 	}
-	if study.Report == nil || study.StudyHash != sub.GridHash {
+	if study.Report == nil || study.StudyHash != sub.Hash {
 		t.Fatalf("bad replayed study line: %+v", study)
 	}
 
-	report, err := http.Get(ts.URL + "/v1/studies/" + sub.GridHash)
+	report, err := http.Get(ts.URL + "/v1/studies/" + sub.Hash)
 	if err != nil {
 		t.Fatal(err)
 	}

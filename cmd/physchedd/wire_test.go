@@ -12,9 +12,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden wire-format files")
 
-// TestJobWireFormatGolden pins the job wire format byte-for-byte —
-// including the honest "hash" field and its deprecated "grid_hash"
-// alias, which must both stay on the wire until the alias is retired.
+// TestJobWireFormatGolden pins the job wire format byte-for-byte.
 // Regenerate deliberately with -update when the format changes on
 // purpose.
 func TestJobWireFormatGolden(t *testing.T) {
@@ -22,13 +20,12 @@ func TestJobWireFormatGolden(t *testing.T) {
 	finished := created.Add(90 * time.Second)
 
 	status := jobStatus{
-		ID: "cafebabe12345678", Kind: "grid",
-		Hash: "a1b2", GridHash: "a1b2",
+		ID: "cafebabe12345678", Kind: "grid", Hash: "a1b2",
 		State: "done", Done: 8, Total: 8, CacheHits: 3,
 		Created: created, AgeSec: 120, Finished: &finished,
 	}
 	submitted := jobSubmitted{
-		JobID: "cafebabe12345678", Hash: "a1b2", GridHash: "a1b2",
+		JobID: "cafebabe12345678", Hash: "a1b2",
 		StatusURL: "/v1/jobs/cafebabe12345678",
 		StreamURL: "/v1/jobs/cafebabe12345678/stream",
 	}

@@ -126,7 +126,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("async submit failed: %v", err)
 	}
-	if sub.JobID == "" || sub.Hash == "" || sub.Hash != sub.GridHash {
+	if sub.JobID == "" || sub.Hash == "" {
 		log.Fatalf("bad submission document: %+v", sub)
 	}
 	log.Printf("submitted job %s (grid %.12s…)", sub.JobID, sub.Hash)
@@ -147,6 +147,9 @@ func main() {
 	}
 	if result == nil || len(result.Cells) == 0 {
 		log.Fatalf("job stream replayed no result cells (progress lines: %d)", progress)
+	}
+	if result.GridHash != sub.Hash {
+		log.Fatalf("result grid hash %q, submission hash %q", result.GridHash, sub.Hash)
 	}
 	log.Printf("stream replayed: %d progress lines, %d cells", progress, len(result.Cells))
 
