@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"physched/internal/cluster"
+	"physched/internal/model"
 	"physched/internal/sched"
 )
 
@@ -69,5 +70,48 @@ func BenchmarkRunFaults(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(s)
+	}
+}
+
+// BenchmarkSweepCell prices the cells of the perfbench sweep, the traffic
+// where the event queue's cost shows: the calibrated paper cluster,
+// warm-up 30 and measure 100 jobs, at loads 0.8, 1.6 and 2.4 jobs/h,
+// each fault-free and under churn (MTBF 150 h with cache loss). One op
+// runs a policy's six cells of the sweep's first round at seed 1, so
+// ns/op is six times the policy's mean cell time. The policies are the
+// ones whose cells take longest; sub-benchmark names must not end in a
+// digit, which benchsnap would read as a GOMAXPROCS suffix.
+func BenchmarkSweepCell(b *testing.B) {
+	churn := cluster.FaultModel{MTBFHours: 150, CacheLoss: true}.WithDefaults()
+	for _, name := range []string{"outoforder", "cacheoriented", "replication", "delayed", "adaptive"} {
+		b.Run(name, func(b *testing.B) {
+			var cells []Scenario
+			for _, faults := range []cluster.FaultModel{{}, churn} {
+				for _, load := range []float64{0.8, 1.6, 2.4} {
+					cells = append(cells, Scenario{
+						Params: model.PaperCalibrated(),
+						NewPolicy: func() sched.Policy {
+							p, err := sched.New(name, sched.Args{})
+							if err != nil {
+								b.Fatal(err)
+							}
+							return p
+						},
+						Load:        load,
+						Seed:        DeriveSeed(1, 0),
+						WarmupJobs:  30,
+						MeasureJobs: 100,
+						Faults:      faults,
+					})
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, s := range cells {
+					Run(s)
+				}
+			}
+		})
 	}
 }

@@ -14,6 +14,7 @@ package resultcache
 import (
 	"sync"
 
+	"physched/internal/cluster"
 	"physched/internal/lab"
 )
 
@@ -30,31 +31,90 @@ type Store interface {
 // Memory is an in-process Store.
 type Memory struct {
 	mu         sync.RWMutex
-	results    map[string]lab.Result
+	results    map[string]entry
 	aggregates map[string]lab.Aggregate
+}
+
+// entry is what Memory keeps of a lab.Result: every field Result.Stored
+// keeps, so Scenario and Collector are left out. A stored Scenario is
+// always zero, yet it is 312 of a Result's 512 bytes, and a cold sweep
+// keeps one entry per cell.
+type entry struct {
+	policyName   string
+	load         float64
+	overloaded   bool
+	avgSpeedup   float64
+	avgWaiting   float64
+	maxWaiting   float64
+	p99Waiting   float64
+	avgProc      float64
+	measuredJobs int
+	simTime      float64
+	goodput      float64
+	cluster      cluster.Stats
+}
+
+func newEntry(r lab.Result) entry {
+	return entry{
+		policyName:   r.PolicyName,
+		load:         r.Load,
+		overloaded:   r.Overloaded,
+		avgSpeedup:   r.AvgSpeedup,
+		avgWaiting:   r.AvgWaiting,
+		maxWaiting:   r.MaxWaiting,
+		p99Waiting:   r.P99Waiting,
+		avgProc:      r.AvgProc,
+		measuredJobs: r.MeasuredJobs,
+		simTime:      r.SimTime,
+		goodput:      r.Goodput,
+		cluster:      r.Cluster,
+	}
+}
+
+// result rebuilds the stored form of the result the entry was made from.
+func (e entry) result() lab.Result {
+	return lab.Result{
+		PolicyName:   e.policyName,
+		Load:         e.load,
+		Overloaded:   e.overloaded,
+		AvgSpeedup:   e.avgSpeedup,
+		AvgWaiting:   e.avgWaiting,
+		MaxWaiting:   e.maxWaiting,
+		P99Waiting:   e.p99Waiting,
+		AvgProc:      e.avgProc,
+		MeasuredJobs: e.measuredJobs,
+		SimTime:      e.simTime,
+		Goodput:      e.goodput,
+		Cluster:      e.cluster,
+	}
 }
 
 // NewMemory returns an empty in-memory store.
 func NewMemory() *Memory {
 	return &Memory{
-		results:    map[string]lab.Result{},
+		results:    map[string]entry{},
 		aggregates: map[string]lab.Aggregate{},
 	}
 }
 
-// Get returns the cached result for key.
+// Get returns the cached result for key, in the form r.Stored() of the
+// result r that was Put.
 func (m *Memory) Get(key string) (lab.Result, bool) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	r, ok := m.results[key]
-	return r, ok
+	e, ok := m.results[key]
+	if !ok {
+		return lab.Result{}, false
+	}
+	return e.result(), true
 }
 
-// Put stores r under key.
+// Put stores r under key. Only the fields of r.Stored() are kept.
 func (m *Memory) Put(key string, r lab.Result) {
+	e := newEntry(r)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.results[key] = r
+	m.results[key] = e
 }
 
 // GetAggregate returns the cached aggregate for key.

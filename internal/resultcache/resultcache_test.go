@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"physched/internal/lab"
+	"physched/internal/metrics"
 	"physched/internal/spec"
 )
 
@@ -70,6 +72,69 @@ func TestStoreRoundTrip(t *testing.T) {
 				t.Errorf("aggregate changed through the store: %+v", gotAgg)
 			}
 		})
+	}
+}
+
+// fillDistinct sets every field reachable from v (bools, numbers, strings
+// and nested structs) to a non-zero value that no other numeric field
+// shares, so a field the memory entry drops or swaps shows up as a
+// difference. A kind it does not know fails the test rather than staying
+// zero.
+func fillDistinct(t *testing.T, v reflect.Value, next *int) {
+	t.Helper()
+	*next++
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(*next))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(*next))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(*next) + 0.5)
+	case reflect.String:
+		v.SetString(strings.Repeat("s", *next))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillDistinct(t, v.Field(i), next)
+		}
+	default:
+		t.Fatalf("fillDistinct: no fill for a %s (%s)", v.Kind(), v.Type())
+	}
+}
+
+// TestMemoryKeepsEveryStoredField pins Memory's compact entry to
+// lab.Result: with every field of a Result set, Put then Get must return
+// exactly r.Stored(). A Result field the entry does not carry fails here.
+func TestMemoryKeepsEveryStoredField(t *testing.T) {
+	var r lab.Result
+	rv := reflect.ValueOf(&r).Elem()
+	next := 0
+	for i := 0; i < rv.NumField(); i++ {
+		switch f := rv.Type().Field(i); f.Name {
+		case "Scenario": // closures and sources; Stored drops it
+			r.Scenario = lab.Scenario{Load: 2, Seed: 3, WarmupJobs: 4}
+		case "Collector": // Stored drops it
+			r.Collector = &metrics.Collector{}
+		default:
+			fillDistinct(t, rv.Field(i), &next)
+		}
+		if rv.Field(i).IsZero() {
+			t.Fatalf("field %s left zero", rv.Type().Field(i).Name)
+		}
+	}
+	m := NewMemory()
+	key := testKey(4)
+	m.Put(key, r)
+	got, ok := m.Get(key)
+	if !ok {
+		t.Fatal("miss after Put")
+	}
+	if want := r.Stored(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Put→Get changed the result:\n got %+v\nwant %+v", got, want)
+	}
+	if m.Len() != 1 {
+		t.Errorf("Len = %d, want 1", m.Len())
 	}
 }
 

@@ -11,11 +11,10 @@
 // that point observes an unrelated, recycled event. All in-tree callers
 // clear their handles when the callback fires.
 //
-// The pending set is a calendar (bucket) queue keyed on simulated time —
-// see calendar.go — giving O(1) amortised insert and pop for the
-// near-monotone schedule pattern of a simulation, with simultaneous events
-// extracted as one batch so a burst of same-timestamp completions drains
-// without re-searching the calendar per event.
+// The pending set is a 4-ary min-heap ordered by (time, seq) — see
+// heap.go — so insert and pop cost O(log n) in the number of pending
+// events, which stays in the tens on the paper's scenarios. Cancellation
+// is lazy: a cancelled event leaves the heap when it reaches the top.
 package sim
 
 import (
@@ -33,38 +32,23 @@ type Engine struct {
 	live  int    // scheduled, non-cancelled events (O(1) Pending)
 	free  *Event // free list of recycled events
 
-	cal calendar // pending events, ordered by (time, seq)
-
-	// batch holds the cohort of minimal-time events extracted from the
-	// calendar in one scan, sorted by seq; Step consumes it before
-	// touching the calendar again. Events in the batch are still
-	// scheduled (they count as live and may be cancelled).
-	batch    []*Event
-	batchPos int
+	// queue is the heap of pending events, ordered by (time, seq). It
+	// also holds cancelled events that have not yet reached its top.
+	queue []*Event
 }
-
-// Event state, tracked so Cancel keeps the live count exact whether the
-// event still sits in a calendar bucket, was extracted into the pending
-// same-timestamp batch, or already ran.
-const (
-	stateQueued int8 = iota // in a calendar bucket
-	stateBatch              // extracted into the batch, not yet executed
-	stateDone               // executed or collected; on the free list
-)
 
 // Event is a handle to a scheduled callback; it can be cancelled any time
 // before its callback runs.
 type Event struct {
 	time      float64
 	seq       uint64
-	vb        int64 // virtual calendar bucket = floor(time/width)
 	fn        func()
 	fnArg     func(any) // alternative arg-taking callback (AtCall)
 	arg       any
 	eng       *Engine
 	next      *Event // free-list link
 	cancelled bool
-	state     int8
+	queued    bool // in the heap; false once executed or collected
 }
 
 // Cancel prevents the event's callback from running. Cancelling an already
@@ -75,7 +59,7 @@ func (e *Event) Cancel() {
 		return
 	}
 	e.cancelled = true
-	if e.state != stateDone {
+	if e.queued {
 		e.eng.live--
 	}
 }
@@ -89,9 +73,7 @@ func (e *Event) Time() float64 { return e.time }
 // New returns an engine whose clock starts at zero, with a deterministic
 // random source derived from seed.
 func New(seed int64) *Engine {
-	e := &Engine{rng: rand.New(rand.NewSource(seed))}
-	e.cal.init()
-	return e
+	return &Engine{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current simulated time in seconds.
@@ -108,7 +90,7 @@ func (e *Engine) Steps() uint64 { return e.steps }
 func (e *Engine) At(t float64, fn func()) *Event {
 	ev := e.acquire(t)
 	ev.fn = fn
-	e.cal.insert(ev)
+	e.push(ev)
 	return ev
 }
 
@@ -123,7 +105,7 @@ func (e *Engine) AtCall(t float64, fn func(any), arg any) *Event {
 	ev := e.acquire(t)
 	ev.fnArg = fn
 	ev.arg = arg
-	e.cal.insert(ev)
+	e.push(ev)
 	return ev
 }
 
@@ -151,7 +133,7 @@ func (e *Engine) acquire(t float64) *Event {
 	}
 	ev.time = t
 	ev.seq = e.seq
-	ev.state = stateQueued
+	ev.queued = true
 	e.seq++
 	e.live++
 	return ev
@@ -167,7 +149,7 @@ func (e *Engine) release(ev *Event) {
 	ev.fn = nil
 	ev.fnArg = nil
 	ev.arg = nil
-	ev.state = stateDone
+	ev.queued = false
 	ev.next = e.free
 	e.free = ev
 }
@@ -180,22 +162,16 @@ func (e *Engine) Pending() int { return e.live }
 //
 //physched:hotpath
 func (e *Engine) head() *Event {
-	for {
-		if e.batchPos == len(e.batch) {
-			e.batch = e.cal.extractMinBatch(e.now, e.batch[:0])
-			e.batchPos = 0
-			if len(e.batch) == 0 {
-				return nil
-			}
-		}
-		ev := e.batch[e.batchPos]
+	for len(e.queue) > 0 {
+		ev := e.queue[0]
 		if !ev.cancelled {
 			return ev
 		}
 		// Cancel already removed it from the live count.
-		e.batchPos++
+		e.pop()
 		e.release(ev)
 	}
+	return nil
 }
 
 // Step executes the next event. It reports false when the queue is empty.
@@ -206,7 +182,7 @@ func (e *Engine) Step() bool {
 	if ev == nil {
 		return false
 	}
-	e.batchPos++
+	e.pop()
 	e.now = ev.time
 	e.steps++
 	e.live--
