@@ -42,6 +42,7 @@ const (
 	CodeConflict     = "conflict"      // operation races a finished lifecycle
 	CodeOverCapacity = "over_capacity" // -max-inflight admission rejection; retry later
 	CodeUnavailable  = "unavailable"   // server shutting down or pool closed
+	CodeTooLarge     = "too_large"     // request body over the server's size cap
 )
 
 // APIError is the error a Client method returns for a non-2xx response.

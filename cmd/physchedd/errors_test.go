@@ -17,6 +17,7 @@ import (
 func TestErrorEnvelopeEverywhere(t *testing.T) {
 	ts := testServer(t)
 	missing := strings.Repeat("0", 64)
+	tooLarge := strings.Repeat(" ", maxRequestBody+1)
 
 	cases := []struct {
 		name, method, path, body string
@@ -45,6 +46,9 @@ func TestErrorEnvelopeEverywhere(t *testing.T) {
 		{"job stream unknown", "GET", "/v1/jobs/deadbeefdeadbeef/stream", "", 404, client.CodeNotFound},
 		{"result unknown", "GET", "/v1/results/" + missing, "", 404, client.CodeNotFound},
 		{"aggregate unknown", "GET", "/v1/aggregates/" + missing, "", 404, client.CodeNotFound},
+		{"spec too large", "POST", "/v1/specs", tooLarge, 413, client.CodeTooLarge},
+		{"grid too large", "POST", "/v1/grids", tooLarge, 413, client.CodeTooLarge},
+		{"study too large", "POST", "/v1/studies", tooLarge, 413, client.CodeTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -272,6 +272,8 @@ func errorCode(status int) string {
 		return client.CodeOverCapacity
 	case http.StatusServiceUnavailable:
 		return client.CodeUnavailable
+	case http.StatusRequestEntityTooLarge:
+		return client.CodeTooLarge
 	}
 	return "error"
 }
@@ -283,6 +285,29 @@ func writeError(w http.ResponseWriter, status int, err error) {
 		Code:    errorCode(status),
 		Message: err.Error(),
 	}})
+}
+
+// maxRequestBody caps every POST body. Specs, grids and studies are a
+// few kilobytes; the cap only bounds what one request can make the
+// server buffer.
+const maxRequestBody = 1 << 20
+
+// readBody reads the whole request body, answering 413 when it exceeds
+// maxRequestBody and 400 when it cannot be read; ok is false once an
+// error response has been written.
+func readBody(w http.ResponseWriter, r *http.Request) (body []byte, ok bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+		return nil, false
+	case err != nil:
+		writeError(w, http.StatusBadRequest, err)
+		return nil, false
+	}
+	return body, true
 }
 
 // retryAfterSeconds is the Retry-After hint sent with 429 rejections.
@@ -424,7 +449,11 @@ func (s *server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 // from the same stored value, so apart from from_cache they are
 // byte-identical.
 func (s *server) handleSpec(w http.ResponseWriter, r *http.Request) {
-	sp, err := spec.Parse(r.Body)
+	body, ok := readBody(w, r)
+	if !ok {
+		return
+	}
+	sp, err := spec.Parse(bytes.NewReader(body))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -738,9 +767,8 @@ func (s *server) resultLineFor(p *gridPlan, rs *lab.RunSet) resultLine {
 // nothing.
 func (s *server) handleSubmit(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
 		async, traced := boolParam(r.URL.Query(), "async"), boolParam(r.URL.Query(), "trace")

@@ -29,7 +29,6 @@ var detPackages = []string{
 	"physched/internal/spec",
 	"physched/internal/simtest",
 	"physched/internal/trace",
-	"physched/internal/storage",
 	"physched/internal/asciiplot",
 	"physched/internal/experiments",
 }
@@ -81,13 +80,12 @@ func IsDeterministic(pkgPath string) bool {
 
 // lockguardPackages scope the guard-inference race detector to the
 // shared mutable state the serial≡parallel contract depends on: the
-// worker pool, job/study stores, result cache, storage, traces and the
+// worker pool, job/study stores, result cache, traces and the
 // policy/model registries. Guard inference is a heuristic; keeping it
 // off one-shot cmd wiring code keeps its findings high-signal.
 var lockguardPackages = []string{
 	"physched/internal/lab",
 	"physched/internal/resultcache",
-	"physched/internal/storage",
 	"physched/internal/trace",
 	"physched/internal/sched",
 	"physched/internal/workload",

@@ -67,23 +67,6 @@ func (m *CountMap) Count(e int64) int64 {
 	return 0
 }
 
-// Reset clears the counts over iv (used when a segment is evicted, so a
-// re-cached segment starts counting afresh).
-func (m *CountMap) Reset(iv dataspace.Interval) {
-	if iv.Empty() {
-		return
-	}
-	m.splitAt(iv.Start)
-	m.splitAt(iv.End)
-	out := m.runs[:0]
-	for _, r := range m.runs {
-		if !r.iv.Overlaps(iv) {
-			out = append(out, r)
-		}
-	}
-	m.runs = out
-}
-
 // splitAt ensures no run straddles event index e.
 func (m *CountMap) splitAt(e int64) {
 	i := sort.Search(len(m.runs), func(i int) bool { return m.runs[i].iv.End > e })

@@ -30,19 +30,6 @@ func TestCountMapIncrement(t *testing.T) {
 	}
 }
 
-func TestCountMapReset(t *testing.T) {
-	var m CountMap
-	m.Increment(dataspace.Iv(0, 100))
-	m.Increment(dataspace.Iv(0, 100))
-	m.Reset(dataspace.Iv(25, 75))
-	if m.Count(30) != 0 {
-		t.Error("reset range still counted")
-	}
-	if m.Count(10) != 2 || m.Count(80) != 2 {
-		t.Error("reset clobbered neighbours")
-	}
-}
-
 func TestCountMapAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var m CountMap
@@ -51,13 +38,6 @@ func TestCountMapAgainstReference(t *testing.T) {
 	for step := 0; step < 3000; step++ {
 		a := rng.Int63n(universe)
 		iv := dataspace.Iv(a, a+1+rng.Int63n(60))
-		if rng.Intn(5) == 0 {
-			m.Reset(iv)
-			for e := iv.Start; e < iv.End; e++ {
-				delete(ref, e)
-			}
-			continue
-		}
 		gotMin := m.Increment(iv)
 		wantMin := int64(1 << 62)
 		for e := iv.Start; e < iv.End; e++ {

@@ -35,15 +35,6 @@ func (ix *Index) Add(capacityEvents int64, policy EvictPolicy) *LRU {
 // Node returns the cache of node i.
 func (ix *Index) Node(i int) *LRU { return ix.caches[i] }
 
-// CachedAnywhere returns the parts of iv cached on at least one node.
-func (ix *Index) CachedAnywhere(iv dataspace.Interval) dataspace.Set {
-	var s dataspace.Set
-	for _, c := range ix.caches {
-		s = s.Union(c.CachedPart(iv))
-	}
-	return s
-}
-
 // NodePiece is a maximal run of an interval attributed to a single node's
 // cache, or to no cache (Node == -1).
 type NodePiece struct {
@@ -51,20 +42,15 @@ type NodePiece struct {
 	Node     int // -1 when the piece is cached nowhere
 }
 
-// PartitionByNode splits iv into contiguous pieces such that each piece is
-// either fully cached on the designated node or cached nowhere. When
-// several nodes cache the same events, the piece goes to the node caching
-// the longest run starting at the piece's first event, which keeps the
-// attribution deterministic and favours large fully-cached subjobs (the
-// paper's splitting rule: "data processed by a given subjob should always
-// either be fully cached on a node or not cached at all").
-func (ix *Index) PartitionByNode(iv dataspace.Interval) []NodePiece {
-	return ix.AppendPartitionByNode(iv, nil)
-}
-
-// AppendPartitionByNode is PartitionByNode writing into a caller-owned
-// buffer — the form the per-dispatch planning paths use, so partitioning
-// allocates nothing in steady state.
+// AppendPartitionByNode splits iv into contiguous pieces such that each
+// piece is either fully cached on the designated node or cached nowhere,
+// and appends them to dst. When several nodes cache the same events, the
+// piece goes to the node caching the longest run starting at the piece's
+// first event, which keeps the attribution deterministic and favours large
+// fully-cached subjobs (the paper's splitting rule: "data processed by a
+// given subjob should always either be fully cached on a node or not
+// cached at all"). The per-dispatch planning paths pass a reused buffer,
+// so partitioning allocates nothing in steady state.
 func (ix *Index) AppendPartitionByNode(iv dataspace.Interval, dst []NodePiece) []NodePiece {
 	// pos only ever advances, so each node's cache is swept left to right:
 	// a per-node cursor turns the repeated per-piece binary searches into
@@ -108,7 +94,7 @@ func (ix *Index) AppendPartitionByNode(iv dataspace.Interval, dst []NodePiece) [
 
 // CachedOn returns how many events of iv are cached on node n.
 func (ix *Index) CachedOn(n int, iv dataspace.Interval) int64 {
-	return ix.caches[n].cachedLen(iv)
+	return ix.caches[n].CachedLen(iv)
 }
 
 // BestNodeFor returns the node caching the largest part of iv and that
@@ -116,7 +102,7 @@ func (ix *Index) CachedOn(n int, iv dataspace.Interval) int64 {
 func (ix *Index) BestNodeFor(iv dataspace.Interval) (int, int64) {
 	best, bestAmt := -1, int64(0)
 	for n, c := range ix.caches {
-		if amt := c.cachedLen(iv); amt > bestAmt {
+		if amt := c.CachedLen(iv); amt > bestAmt {
 			best, bestAmt = n, amt
 		}
 	}

@@ -14,20 +14,9 @@ func newTestIndex() *Index {
 	return ix
 }
 
-func TestCachedAnywhere(t *testing.T) {
-	ix := newTestIndex()
-	s := ix.CachedAnywhere(dataspace.Iv(0, 600))
-	if s.Len() != 350 {
-		t.Errorf("CachedAnywhere len = %d, want 350", s.Len())
-	}
-	if !s.ContainsInterval(dataspace.Iv(0, 250)) {
-		t.Error("missing merged run [0,250)")
-	}
-}
-
 func TestPartitionByNode(t *testing.T) {
 	ix := newTestIndex()
-	pieces := ix.PartitionByNode(dataspace.Iv(50, 450))
+	pieces := ix.AppendPartitionByNode(dataspace.Iv(50, 450), nil)
 	want := []NodePiece{
 		{dataspace.Iv(50, 100), 0},
 		{dataspace.Iv(100, 250), 1},
@@ -49,7 +38,7 @@ func TestPartitionByNodeCoversExactly(t *testing.T) {
 	// Also create an overlap: node 0 caches part of node 1's range.
 	ix.Node(0).Insert(dataspace.Iv(80, 150), 2)
 	iv := dataspace.Iv(0, 600)
-	pieces := ix.PartitionByNode(iv)
+	pieces := ix.AppendPartitionByNode(iv, nil)
 	pos := iv.Start
 	for _, p := range pieces {
 		if p.Interval.Start != pos || p.Interval.Empty() {
@@ -58,8 +47,12 @@ func TestPartitionByNodeCoversExactly(t *testing.T) {
 		if p.Node >= 0 && !ix.Node(p.Node).Contains(p.Interval) {
 			t.Errorf("piece %v not fully cached on node %d", p.Interval, p.Node)
 		}
-		if p.Node == -1 && !ix.CachedAnywhere(p.Interval).Empty() {
-			t.Errorf("piece %v marked uncached but is cached somewhere", p.Interval)
+		if p.Node == -1 {
+			for n := 0; n < 3; n++ {
+				if ix.CachedOn(n, p.Interval) != 0 {
+					t.Errorf("piece %v marked uncached but is cached on node %d", p.Interval, n)
+				}
+			}
 		}
 		pos = p.Interval.End
 	}
@@ -72,7 +65,7 @@ func TestPartitionPrefersLongestRun(t *testing.T) {
 	ix := NewIndex(2, 10_000, EvictLRU)
 	ix.Node(0).Insert(dataspace.Iv(0, 50), 1)
 	ix.Node(1).Insert(dataspace.Iv(0, 200), 1)
-	pieces := ix.PartitionByNode(dataspace.Iv(0, 200))
+	pieces := ix.AppendPartitionByNode(dataspace.Iv(0, 200), nil)
 	if len(pieces) != 1 || pieces[0].Node != 1 {
 		t.Errorf("expected single piece on node 1, got %v", pieces)
 	}

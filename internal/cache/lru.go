@@ -47,9 +47,6 @@ type LRU struct {
 	poolBase int       // next never-used pool slot
 
 	gapScratch []dataspace.Interval
-
-	inserted int64 // cumulative events ever inserted
-	evicted  int64 // cumulative events ever evicted
 }
 
 // noSeg is the nil value of a segment handle.
@@ -82,27 +79,20 @@ func (c *LRU) Capacity() int64 { return c.capacity }
 // Used returns the number of currently cached events.
 func (c *LRU) Used() int64 { return c.used }
 
-// InsertedTotal and EvictedTotal return lifetime counters, for cache
-// churn statistics.
-func (c *LRU) InsertedTotal() int64 { return c.inserted }
-func (c *LRU) EvictedTotal() int64  { return c.evicted }
-
 // Cached returns the set of cached events. The returned set is a read-only
 // view sharing the cache's storage: it is valid only until the next cache
-// mutation (Insert, Touch, Evict, Clear).
+// mutation (Insert, Touch, Clear).
 func (c *LRU) Cached() dataspace.Set { return c.set }
 
 // Contains reports whether iv is entirely cached.
 func (c *LRU) Contains(iv dataspace.Interval) bool { return c.set.ContainsInterval(iv) }
 
-// CachedPart returns the parts of iv that are cached.
-func (c *LRU) CachedPart(iv dataspace.Interval) dataspace.Set {
-	return c.set.IntersectInterval(iv)
-}
+// CachedLen returns the number of cached events of iv, without
+// materialising them.
+func (c *LRU) CachedLen(iv dataspace.Interval) int64 { return c.set.IntersectLen(iv) }
 
-// cachedFirstRun returns the first cached run of iv and cachedLen the
-// number of cached events of iv — the allocation-free queries the index
-// planning paths use.
+// cachedFirstRun returns the first cached run of iv — the allocation-free
+// query the index planning paths use.
 func (c *LRU) cachedFirstRun(iv dataspace.Interval) dataspace.Interval {
 	return c.set.FirstRunIn(iv)
 }
@@ -113,12 +103,11 @@ func (c *LRU) cachedFirstRunFrom(iv dataspace.Interval, hint int) (dataspace.Int
 	return c.set.FirstRunFrom(iv, hint)
 }
 
-func (c *LRU) cachedLen(iv dataspace.Interval) int64 { return c.set.IntersectLen(iv) }
-
 // Insert adds iv to the cache at time now, evicting according to the
 // eviction policy if needed. Parts of iv already cached are refreshed
 // (treated as used now). If iv exceeds the whole capacity, only its tail
 // (the most recently streamed events) is kept.
+//
 //physched:hotpath
 func (c *LRU) Insert(iv dataspace.Interval, now float64) {
 	if c.capacity == 0 || iv.Empty() {
@@ -152,7 +141,6 @@ func (c *LRU) Insert(iv dataspace.Interval, now float64) {
 	c.gapScratch = gaps
 	for _, part := range gaps {
 		c.makeRoom(part.Len(), iv)
-		c.inserted += part.Len()
 		c.used += part.Len()
 		c.set.AddInPlace(part)
 		c.addSegment(c.newSegment(part, now))
@@ -178,33 +166,10 @@ func (c *LRU) Touch(iv dataspace.Interval, now float64) {
 	}
 }
 
-// Evict removes iv from the cache regardless of recency (used by tests and
-// by failure-injection scenarios).
-func (c *LRU) Evict(iv dataspace.Interval) {
-	if iv.Empty() {
-		return
-	}
-	i := c.seekOverlap(iv.Start)
-	for i < len(c.segs) && c.segs[i].iv.Start < iv.End {
-		id := c.segs[i].id
-		si := c.splitOutAt(i, iv)
-		siv := c.pool[id].iv
-		c.set.RemoveInPlace(siv)
-		c.used -= siv.Len()
-		c.evicted += siv.Len()
-		c.listRemove(id)
-		c.removeAt(si)
-		c.releaseSegment(id)
-		i = si
-	}
-}
-
 // Clear empties the cache — a node failure that takes the disk with it.
-// The dropped events count as evictions in the churn statistics. One
-// pass, not per-segment dropSegment: Clear runs on every disk-losing
+// One pass, not per-segment dropSegment: Clear runs on every disk-losing
 // failure.
 func (c *LRU) Clear() {
-	c.evicted += c.used
 	c.used = 0
 	c.set.Reset()
 	for _, ref := range c.segs {
@@ -231,7 +196,6 @@ func (c *LRU) makeRoom(need int64, protect dataspace.Interval) {
 			evict := dataspace.Iv(v.iv.Start, v.iv.Start+over)
 			c.set.RemoveInPlace(evict)
 			c.used -= evict.Len()
-			c.evicted += evict.Len()
 			si := c.seekStart(v.iv.Start)
 			v.iv = dataspace.Iv(evict.End, v.iv.End)
 			c.segs[si].iv = v.iv
@@ -256,7 +220,6 @@ func (c *LRU) dropSegment(id int32) {
 	iv := c.pool[id].iv
 	c.set.RemoveInPlace(iv)
 	c.used -= iv.Len()
-	c.evicted += iv.Len()
 	c.listRemove(id)
 	c.removeFromSlice(id)
 	c.releaseSegment(id)

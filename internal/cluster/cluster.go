@@ -22,7 +22,6 @@ import (
 	"physched/internal/job"
 	"physched/internal/model"
 	"physched/internal/sim"
-	"physched/internal/storage"
 	"physched/internal/trace"
 )
 
@@ -154,15 +153,15 @@ type Stats struct {
 	Reexecutions  int64 `json:"reexecutions,omitempty"`
 }
 
-// Cluster ties the nodes, cache index and tertiary storage to a simulation
-// engine.
+// Cluster ties the nodes and cache index to a simulation engine. Tertiary
+// storage needs no state of its own: it is the fixed per-node tape rate in
+// the model parameters.
 type Cluster struct {
 	eng    *sim.Engine
 	params model.Params
 	cfg    Config
 	nodes  []*Node
 	index  *cache.Index
-	tape   *storage.Tertiary
 	counts []cache.CountMap // per-node remote-access counters
 	stats  Stats
 
@@ -212,7 +211,6 @@ func New(eng *sim.Engine, params model.Params, cfg Config) *Cluster {
 		params: params,
 		cfg:    cfg,
 		index:  cache.NewIndex(params.Nodes, capEvents, cfg.Eviction),
-		tape:   storage.New(params.TapeBytesPerSec, params.EventBytes),
 		counts: make([]cache.CountMap, params.Nodes),
 	}
 	c.nodes = make([]*Node, params.Nodes)
@@ -245,9 +243,6 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 // Index returns the cluster-wide cache index.
 func (c *Cluster) Index() *cache.Index { return c.index }
 
-// Tape returns the tertiary storage.
-func (c *Cluster) Tape() *storage.Tertiary { return c.tape }
-
 // Stats returns the data-path counters accumulated so far.
 func (c *Cluster) Stats() Stats { return c.stats }
 
@@ -255,11 +250,6 @@ func (c *Cluster) Stats() Stats { return c.stats }
 // preemption/split/crash remainder from it; scheduling policies use it
 // for their own subjobs so one run shares one arena.
 func (c *Cluster) Arena() *job.Arena { return &c.arena }
-
-// IdleNodes returns the currently idle nodes, in node order, in a fresh
-// slice. Hot paths should use AppendIdle with a reused buffer, IdleCount,
-// FirstIdle, or iterate Nodes directly.
-func (c *Cluster) IdleNodes() []*Node { return c.AppendIdle(nil) }
 
 // AppendIdle appends the currently idle nodes to dst, in node order.
 func (c *Cluster) AppendIdle(dst []*Node) []*Node {
@@ -409,9 +399,6 @@ func (c *Cluster) Dispatch(n *Node, sj *job.Subjob) {
 // startPiece begins the current piece of r on n.
 func (c *Cluster) startPiece(n *Node, r *Running) {
 	p := r.pieces[r.pieceIdx]
-	if p.Source == SourceTape {
-		c.tape.StartStream()
-	}
 	r.pieceStart = c.eng.Now()
 	d := float64(p.Range.Len()) * p.PerEvent
 	r.ev = c.eng.After(d, r.fire)
@@ -431,13 +418,9 @@ func (c *Cluster) pieceDone(n *Node, r *Running) {
 }
 
 // accountSpan records that the span done of piece p was processed on n:
-// source statistics, cache insertion or refresh, tape accounting and the
-// replication rule.
+// source statistics, cache insertion or refresh and the replication rule.
 func (c *Cluster) accountSpan(n *Node, p Piece, done dataspace.Interval) {
 	if done.Empty() {
-		if p.Source == SourceTape {
-			c.tape.EndStream(0) // balance the StartStream from startPiece
-		}
 		return
 	}
 	now := c.eng.Now()
@@ -447,7 +430,6 @@ func (c *Cluster) accountSpan(n *Node, p Piece, done dataspace.Interval) {
 		n.Cache.Touch(done, now)
 	case SourceTape:
 		c.stats.EventsFromTape += done.Len()
-		c.tape.EndStream(done.Len())
 		if c.cfg.Caching {
 			n.Cache.Insert(done, now)
 		}

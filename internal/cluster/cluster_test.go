@@ -162,9 +162,6 @@ func TestPreemptImmediatelyProcessesNothing(t *testing.T) {
 	if j.Processed != 0 {
 		t.Errorf("Processed = %d, want 0", j.Processed)
 	}
-	if c.Tape().MaxConcurrentStreams() != 1 {
-		t.Errorf("MaxConcurrentStreams = %d", c.Tape().MaxConcurrentStreams())
-	}
 }
 
 func TestRemainingEvents(t *testing.T) {
@@ -265,14 +262,14 @@ func TestNoCachingWhenDisabled(t *testing.T) {
 
 func TestIdleNodes(t *testing.T) {
 	_, c := newTestCluster(Config{})
-	if got := len(c.IdleNodes()); got != 3 {
-		t.Fatalf("IdleNodes = %d, want 3", got)
+	if got := c.IdleCount(); got != 3 {
+		t.Fatalf("IdleCount = %d, want 3", got)
 	}
 	j := mkJob(1, dataspace.Iv(0, 100))
 	c.Dispatch(c.Node(1), &job.Subjob{Job: j, Range: j.Range})
-	idle := c.IdleNodes()
+	idle := c.AppendIdle(nil)
 	if len(idle) != 2 || idle[0].ID != 0 || idle[1].ID != 2 {
-		t.Errorf("IdleNodes = %v", idle)
+		t.Errorf("AppendIdle = %v", idle)
 	}
 }
 
@@ -297,10 +294,7 @@ func TestTapeStreamAccounting(t *testing.T) {
 	j := mkJob(1, dataspace.Iv(0, 500))
 	c.Dispatch(c.Node(0), &job.Subjob{Job: j, Range: j.Range})
 	eng.Run()
-	if got := c.Tape().EventsServed(); got != 500 {
-		t.Errorf("EventsServed = %d, want 500", got)
-	}
-	if got := c.Tape().BytesServed(); got != 500*c.Params().EventBytes {
-		t.Errorf("BytesServed = %d", got)
+	if got := c.Stats().EventsFromTape; got != 500 {
+		t.Errorf("EventsFromTape = %d, want 500", got)
 	}
 }

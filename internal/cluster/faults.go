@@ -245,8 +245,7 @@ func (c *Cluster) killRunning(n *Node) *job.Subjob {
 	}
 	done := dataspace.Iv(p.Range.Start, p.Range.Start+k)
 	// The prefix of the current piece was fetched before the crash:
-	// account its data path (balancing the tape stream opened by
-	// startPiece) even though the computation is discarded.
+	// account its data path even though the computation is discarded.
 	c.accountSpan(n, p, done)
 	wasted := done.Len()
 	for i := 0; i < r.pieceIdx; i++ {
@@ -320,15 +319,4 @@ func (c *Cluster) AddNode() *Node {
 	c.nodes = append(c.nodes, n)
 	c.counts = append(c.counts, cache.CountMap{})
 	return n
-}
-
-// UpCount returns the number of up nodes.
-func (c *Cluster) UpCount() int {
-	k := 0
-	for _, n := range c.nodes {
-		if n.up {
-			k++
-		}
-	}
-	return k
 }

@@ -91,11 +91,11 @@ func TestFailIdleNodeAndRepair(t *testing.T) {
 	if lost := c.FailNode(c.Node(2), false); lost != nil {
 		t.Errorf("idle failure returned %v", lost)
 	}
-	if c.IdleCount() != 2 || c.UpCount() != 2 {
-		t.Errorf("idle %d up %d after failure, want 2/2", c.IdleCount(), c.UpCount())
+	if c.IdleCount() != 2 || c.Node(2).Up() {
+		t.Errorf("idle %d, node 2 up %v after failure, want 2/false", c.IdleCount(), c.Node(2).Up())
 	}
 	c.RepairNode(c.Node(2))
-	if !c.Node(2).Idle() || c.UpCount() != 3 {
+	if !c.Node(2).Idle() || c.IdleCount() != 3 {
 		t.Error("repaired node not back in service")
 	}
 	if downs != 1 || ups != 1 {

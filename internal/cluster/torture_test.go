@@ -90,7 +90,7 @@ func tortureRun(t *testing.T, cfg Config) {
 		nextID++
 		all = append(all, j)
 		// Split into 1-3 subjobs.
-		parts := job.SplitEqual(j.Range, 1+rng.Intn(3), 10)
+		parts := job.AppendSplitEqual(nil, j.Range, 1+rng.Intn(3), 10)
 		for _, sub := range job.SplitForJob(j, parts) {
 			pending = append(pending, sub)
 		}
@@ -102,7 +102,7 @@ func tortureRun(t *testing.T, cfg Config) {
 			newJob()
 		case 3, 4, 5, 6:
 			// Dispatch pending work to idle nodes.
-			for _, n := range c.IdleNodes() {
+			for _, n := range c.AppendIdle(nil) {
 				if len(pending) == 0 {
 					break
 				}
@@ -145,7 +145,7 @@ func tortureRun(t *testing.T, cfg Config) {
 	}
 	// Drain: dispatch everything and run to completion.
 	for len(pending) > 0 || anyBusy(c) {
-		for _, n := range c.IdleNodes() {
+		for _, n := range c.AppendIdle(nil) {
 			if len(pending) == 0 {
 				break
 			}
@@ -153,7 +153,7 @@ func tortureRun(t *testing.T, cfg Config) {
 			pending = pending[1:]
 			c.Dispatch(n, sub)
 		}
-		if !eng.Step() && len(pending) > 0 && len(c.IdleNodes()) == 0 {
+		if !eng.Step() && len(pending) > 0 && c.IdleCount() == 0 {
 			t.Fatal("deadlock: pending work but no events and no idle nodes")
 		}
 	}

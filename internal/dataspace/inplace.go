@@ -1,11 +1,11 @@
 package dataspace
 
-// This file holds the allocation-free counterparts of the value-style Set
-// operations: in-place mutators for owners of a long-lived set (the node
-// disk caches) and append-style queries that write into caller-owned
-// scratch buffers (the per-dispatch planning paths). They exist because
-// the simulator's hot loop performs millions of cache updates and plan
-// partitions per run; the value API stays for everything else.
+// This file holds the allocation-free Set operations: in-place mutators
+// for owners of a long-lived set (the node disk caches, the delayed
+// policy's period union) and queries that write into caller-owned scratch
+// buffers (the per-dispatch planning paths). The simulator's hot loop
+// performs millions of cache updates and plan partitions per run, so
+// these are the only set operations it has.
 
 // Reset empties the set, keeping its storage for reuse.
 func (s *Set) Reset() { s.ivs = s.ivs[:0] }
@@ -87,8 +87,7 @@ func (s *Set) RemoveInPlace(iv Interval) {
 }
 
 // FirstRunIn returns the first (lowest) maximal run of iv present in s,
-// or an empty interval when s covers none of iv. Equivalent to
-// IntersectInterval(iv).Intervals()[0] without materialising the set.
+// or an empty interval when s covers none of iv.
 func (s Set) FirstRunIn(iv Interval) Interval {
 	if iv.Empty() {
 		return Interval{}
@@ -134,31 +133,10 @@ func (s Set) IntersectLen(iv Interval) int64 {
 	return n
 }
 
-// AppendGaps appends the parts of iv NOT present in s to dst, in order —
-// the allocation-free form of SubtractFrom.
-func (s Set) AppendGaps(iv Interval, dst []Interval) []Interval {
-	if iv.Empty() {
-		return dst
-	}
-	pos := iv.Start
-	for i := s.searchEnd(iv.Start); i < len(s.ivs) && s.ivs[i].Start < iv.End; i++ {
-		in := s.ivs[i].Intersect(iv)
-		if in.Empty() {
-			continue
-		}
-		if pos < in.Start {
-			dst = append(dst, Iv(pos, in.Start))
-		}
-		pos = in.End
-	}
-	if pos < iv.End {
-		dst = append(dst, Iv(pos, iv.End))
-	}
-	return dst
-}
-
-// AppendPartition appends the Partition of iv to dst — the
-// allocation-free form of Partition.
+// AppendPartition splits iv into maximal runs that are alternately fully
+// inside and fully outside s and appends them to dst. Each piece carries
+// whether it was in s; the pieces are contiguous, in order, and exactly
+// cover iv.
 func (s Set) AppendPartition(iv Interval, dst []SetPiece) []SetPiece {
 	if iv.Empty() {
 		return dst

@@ -3,20 +3,11 @@ package dataspace
 import "strings"
 
 // Set is a union of disjoint, sorted, non-adjacent intervals. The zero
-// value is an empty set ready for use. Sets are value types: operations
-// return new sets and never alias the receiver's storage.
+// value is an empty set ready for use. The mutators in inplace.go reuse
+// the set's storage, so a copied Set value is a view that the next
+// in-place mutation invalidates; Add is the one mutator that copies.
 type Set struct {
 	ivs []Interval
-}
-
-// NewSet builds a set from arbitrary (possibly overlapping, unsorted)
-// intervals.
-func NewSet(ivs ...Interval) Set {
-	var s Set
-	for _, iv := range ivs {
-		s = s.Add(iv)
-	}
-	return s
 }
 
 // Intervals returns the canonical intervals of s in ascending order.
@@ -85,101 +76,8 @@ func (s Set) Add(iv Interval) Set {
 	return Set{ivs: out}
 }
 
-// Remove returns s with every event of iv removed.
-func (s Set) Remove(iv Interval) Set {
-	if iv.Empty() || len(s.ivs) == 0 {
-		return s
-	}
-	out := make([]Interval, 0, len(s.ivs)+1)
-	for _, cur := range s.ivs {
-		if !cur.Overlaps(iv) {
-			out = append(out, cur)
-			continue
-		}
-		if left := Iv(cur.Start, min64(cur.End, iv.Start)); !left.Empty() {
-			out = append(out, left)
-		}
-		if right := Iv(max64(cur.Start, iv.End), cur.End); !right.Empty() {
-			out = append(out, right)
-		}
-	}
-	return Set{ivs: out}
-}
-
-// Union returns the union of s and o.
-func (s Set) Union(o Set) Set {
-	out := s
-	for _, iv := range o.ivs {
-		out = out.Add(iv)
-	}
-	return out
-}
-
-// IntersectInterval returns the parts of iv present in s, in order.
-func (s Set) IntersectInterval(iv Interval) Set {
-	if iv.Empty() {
-		return Set{}
-	}
-	var out []Interval
-	for i := s.searchEnd(iv.Start); i < len(s.ivs) && s.ivs[i].Start < iv.End; i++ {
-		if x := s.ivs[i].Intersect(iv); !x.Empty() {
-			out = append(out, x)
-		}
-	}
-	return Set{ivs: out}
-}
-
-// Intersect returns the intersection of s and o.
-func (s Set) Intersect(o Set) Set {
-	var out Set
-	for _, iv := range o.ivs {
-		for _, x := range s.IntersectInterval(iv).ivs {
-			out.ivs = append(out.ivs, x)
-		}
-	}
-	return out
-}
-
-// SubtractFrom returns the parts of iv NOT present in s, in order.
-func (s Set) SubtractFrom(iv Interval) Set {
-	if iv.Empty() {
-		return Set{}
-	}
-	out := Set{ivs: []Interval{iv}}
-	for i := s.searchEnd(iv.Start); i < len(s.ivs) && s.ivs[i].Start < iv.End; i++ {
-		out = out.Remove(s.ivs[i])
-	}
-	return out
-}
-
-// Partition splits iv into maximal runs that are alternately fully inside
-// and fully outside s. Each returned piece carries whether it was in s.
-// The pieces are contiguous, in order, and exactly cover iv.
-func (s Set) Partition(iv Interval) []SetPiece {
-	if iv.Empty() {
-		return nil
-	}
-	var pieces []SetPiece
-	pos := iv.Start
-	for i := s.searchEnd(iv.Start); i < len(s.ivs) && s.ivs[i].Start < iv.End; i++ {
-		in := s.ivs[i].Intersect(iv)
-		if in.Empty() {
-			continue
-		}
-		if pos < in.Start {
-			pieces = append(pieces, SetPiece{Iv(pos, in.Start), false})
-		}
-		pieces = append(pieces, SetPiece{in, true})
-		pos = in.End
-	}
-	if pos < iv.End {
-		pieces = append(pieces, SetPiece{Iv(pos, iv.End), false})
-	}
-	return pieces
-}
-
-// SetPiece is one run of a Partition: a sub-interval and whether it was
-// contained in the set.
+// SetPiece is one run of AppendPartition: a sub-interval and whether it
+// was contained in the set.
 type SetPiece struct {
 	Interval Interval
 	InSet    bool

@@ -2,6 +2,7 @@ package dataspace
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -41,10 +42,10 @@ func TestSetAgainstReference(t *testing.T) {
 	for step := 0; step < 2000; step++ {
 		iv := randIv(rng, universe)
 		if rng.Intn(2) == 0 {
-			s = s.Add(iv)
+			s.AddInPlace(iv)
 			r.add(iv)
 		} else {
-			s = s.Remove(iv)
+			s.RemoveInPlace(iv)
 			r.remove(iv)
 		}
 		if !sameAsRef(s, r, 0, universe+universe/4+2) {
@@ -61,9 +62,9 @@ func TestSetCanonicalForm(t *testing.T) {
 	var s Set
 	for step := 0; step < 500; step++ {
 		if rng.Intn(2) == 0 {
-			s = s.Add(randIv(rng, 300))
+			s.AddInPlace(randIv(rng, 300))
 		} else {
-			s = s.Remove(randIv(rng, 300))
+			s.RemoveInPlace(randIv(rng, 300))
 		}
 		ivs := s.Intervals()
 		for i, iv := range ivs {
@@ -78,14 +79,20 @@ func TestSetCanonicalForm(t *testing.T) {
 }
 
 func TestSetAddMergesAdjacent(t *testing.T) {
-	s := NewSet(Iv(0, 5), Iv(5, 10))
+	s := Set{}.Add(Iv(0, 5)).Add(Iv(5, 10))
 	if len(s.Intervals()) != 1 || s.Intervals()[0] != Iv(0, 10) {
-		t.Errorf("adjacent intervals not merged: %v", s)
+		t.Errorf("adjacent intervals not merged by Add: %v", s)
+	}
+	var p Set
+	p.AddInPlace(Iv(5, 10))
+	p.AddInPlace(Iv(0, 5))
+	if len(p.Intervals()) != 1 || p.Intervals()[0] != Iv(0, 10) {
+		t.Errorf("adjacent intervals not merged by AddInPlace: %v", p)
 	}
 }
 
 func TestSetContainsInterval(t *testing.T) {
-	s := NewSet(Iv(0, 10), Iv(20, 30))
+	s := Set{}.Add(Iv(20, 30)).Add(Iv(0, 10))
 	cases := []struct {
 		iv   Interval
 		want bool
@@ -110,21 +117,23 @@ func TestIntersectAndSubtractPartitionInterval(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var s Set
 		for i := 0; i < 10; i++ {
-			s = s.Add(randIv(rng, 500))
+			s.AddInPlace(randIv(rng, 500))
 		}
 		iv := randIv(rng, 500)
-		in := s.IntersectInterval(iv)
-		out := s.SubtractFrom(iv)
-		// in and out partition iv.
-		if in.Len()+out.Len() != iv.Len() {
-			return false
+		// The parts of iv in s and the parts not in s partition iv: the
+		// former hold exactly IntersectLen events, the latter none of s.
+		var in, out int64
+		for _, p := range s.AppendPartition(iv, nil) {
+			switch {
+			case p.InSet:
+				in += p.Interval.Len()
+			case s.IntersectLen(p.Interval) != 0:
+				return false
+			default:
+				out += p.Interval.Len()
+			}
 		}
-		if !in.Intersect(out).Empty() {
-			return false
-		}
-		union := in.Union(out)
-		return iv.Empty() && union.Empty() ||
-			union.Len() == iv.Len() && union.ContainsInterval(iv)
+		return in == s.IntersectLen(iv) && in+out == iv.Len()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -136,10 +145,10 @@ func TestPartitionCoversExactly(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var s Set
 		for i := 0; i < 8; i++ {
-			s = s.Add(randIv(rng, 400))
+			s.AddInPlace(randIv(rng, 400))
 		}
 		iv := randIv(rng, 400)
-		pieces := s.Partition(iv)
+		pieces := s.AppendPartition(iv, nil)
 		pos := iv.Start
 		for _, p := range pieces {
 			if p.Interval.Start != pos || p.Interval.Empty() {
@@ -148,7 +157,7 @@ func TestPartitionCoversExactly(t *testing.T) {
 			if p.InSet != s.ContainsInterval(p.Interval) {
 				return false
 			}
-			if !p.InSet && !s.IntersectInterval(p.Interval).Empty() {
+			if !p.InSet && s.IntersectLen(p.Interval) != 0 {
 				return false
 			}
 			pos = p.Interval.End
@@ -161,8 +170,8 @@ func TestPartitionCoversExactly(t *testing.T) {
 }
 
 func TestPartitionAlternates(t *testing.T) {
-	s := NewSet(Iv(10, 20), Iv(30, 40))
-	pieces := s.Partition(Iv(0, 50))
+	s := Set{}.Add(Iv(10, 20)).Add(Iv(30, 40))
+	pieces := s.AppendPartition(Iv(0, 50), nil)
 	want := []SetPiece{
 		{Iv(0, 10), false},
 		{Iv(10, 20), true},
@@ -186,22 +195,39 @@ func TestUnionIntersectLaws(t *testing.T) {
 		mk := func() Set {
 			var s Set
 			for i := 0; i < 6; i++ {
-				s = s.Add(randIv(rng, 300))
+				s.AddInPlace(randIv(rng, 300))
 			}
 			return s
 		}
 		a, b := mk(), mk()
-		// Commutativity of union and intersection on Len and membership.
-		ab, ba := a.Union(b), b.Union(a)
-		if ab.Len() != ba.Len() {
+		union := func(x, y Set) Set {
+			var u Set
+			for _, iv := range x.Intervals() {
+				u.AddInPlace(iv)
+			}
+			for _, iv := range y.Intervals() {
+				u.AddInPlace(iv)
+			}
+			return u
+		}
+		intersectLen := func(x, y Set) int64 {
+			var n int64
+			for _, iv := range y.Intervals() {
+				n += x.IntersectLen(iv)
+			}
+			return n
+		}
+		// Commutativity of union and intersection on Len.
+		ab, ba := union(a, b), union(b, a)
+		if ab.Len() != ba.Len() || !slices.Equal(ab.Intervals(), ba.Intervals()) {
 			return false
 		}
-		ia, ib := a.Intersect(b), b.Intersect(a)
-		if ia.Len() != ib.Len() {
+		ia, ib := intersectLen(a, b), intersectLen(b, a)
+		if ia != ib {
 			return false
 		}
 		// Inclusion–exclusion.
-		return ab.Len() == a.Len()+b.Len()-ia.Len()
+		return ab.Len() == a.Len()+b.Len()-ia
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -230,8 +256,9 @@ func BenchmarkSetPartition(b *testing.B) {
 	for i := 0; i < 500; i++ {
 		s = s.Add(randIv(rng, 3_000_000))
 	}
+	var buf []SetPiece
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Partition(Iv(int64(i%2_000_000), int64(i%2_000_000)+30_000))
+		buf = s.AppendPartition(Iv(int64(i%2_000_000), int64(i%2_000_000)+30_000), buf[:0])
 	}
 }

@@ -14,8 +14,6 @@ const arenaChunk = 256
 // allocation order), resolvable through JobAt/SubjobAt. Pointers handed
 // out stay valid for the arena's lifetime; there is no intra-run
 // recycling, so a stale handle can never observe an unrelated object.
-// Reset drops all objects (invalidating every outstanding pointer and
-// index) while keeping chunk storage for the next run.
 //
 // The zero Arena is ready for use.
 type Arena struct {
@@ -97,16 +95,3 @@ func (a *Arena) NumSubjobs() int {
 
 // SubjobAt returns the subjob with arena index i (== its ID).
 func (a *Arena) SubjobAt(i int) *Subjob { return &a.subs[i/arenaChunk][i%arenaChunk] }
-
-// Reset drops every object, invalidating all outstanding pointers and
-// indices, and keeps one chunk of each kind for reuse.
-func (a *Arena) Reset() {
-	if len(a.jobs) > 0 {
-		a.jobs[0] = a.jobs[0][:0]
-		a.jobs = a.jobs[:1]
-	}
-	if len(a.subs) > 0 {
-		a.subs[0] = a.subs[0][:0]
-		a.subs = a.subs[:1]
-	}
-}

@@ -78,19 +78,3 @@ func TestArenaJobsAddressStable(t *testing.T) {
 // TestArenaResetReusesStorage verifies Reset invalidates the run's
 // objects without giving back the first chunks, and that allocation
 // starts over with dense IDs.
-func TestArenaResetReusesStorage(t *testing.T) {
-	var a Arena
-	j := a.NewJob()
-	for i := 0; i < arenaChunk+10; i++ {
-		a.NewSubjob(j, dataspace.Iv(0, 10), -1)
-	}
-	a.Reset()
-	if a.NumJobs() != 0 || a.NumSubjobs() != 0 {
-		t.Fatalf("after Reset: %d jobs, %d subjobs", a.NumJobs(), a.NumSubjobs())
-	}
-	j2 := a.NewJob()
-	sj := a.NewSubjob(j2, dataspace.Iv(5, 15), 3)
-	if sj.ID != 0 || a.SubjobAt(0) != sj {
-		t.Fatalf("post-Reset subjob ID = %d", sj.ID)
-	}
-}

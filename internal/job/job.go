@@ -90,16 +90,11 @@ func (s *Subjob) String() string {
 	return fmt.Sprintf("sub[j%d]%v", s.Job.ID, s.Range)
 }
 
-// SplitEqual cuts iv into at most n contiguous parts of (near-)equal size,
-// none smaller than minEvents (except when iv itself is smaller, which
-// yields a single part). It returns fewer than n parts when iv is too
-// small to honour minEvents.
-func SplitEqual(iv dataspace.Interval, n int, minEvents int64) []dataspace.Interval {
-	return AppendSplitEqual(nil, iv, n, minEvents)
-}
-
-// AppendSplitEqual is SplitEqual appending to a caller-owned buffer, for
-// per-dispatch paths that split without allocating.
+// AppendSplitEqual cuts iv into at most n contiguous parts of
+// (near-)equal size, none smaller than minEvents (except when iv itself is
+// smaller, which yields a single part), and appends them to dst. It
+// yields fewer than n parts when iv is too small to honour minEvents.
+// Per-dispatch paths pass a reused buffer and split without allocating.
 func AppendSplitEqual(dst []dataspace.Interval, iv dataspace.Interval, n int, minEvents int64) []dataspace.Interval {
 	if iv.Empty() || n <= 0 {
 		return dst
@@ -133,18 +128,13 @@ func SplitForJob(j *Job, ivs []dataspace.Interval) []*Subjob {
 	return subs
 }
 
-// StripePoints computes the cut points of the delayed policy (Table 4):
-// starting from the sorted distinct boundary points of the given intervals
-// within hull, points creating stripes shorter than stripe/2 are removed,
-// then points are added so that no stripe exceeds stripe events.
-func StripePoints(boundaries []int64, hull dataspace.Interval, stripe int64) []int64 {
-	out, _ := AppendStripePoints(nil, nil, boundaries, hull, stripe)
-	return out
-}
-
-// AppendStripePoints is StripePoints appending to dst, using scratch as
-// an intermediate buffer. It returns the extended dst and the (possibly
-// regrown) scratch so the caller can reuse both across periods.
+// AppendStripePoints computes the cut points of the delayed policy
+// (Table 4) and appends them to dst: starting from the sorted distinct
+// boundary points of the given intervals within hull, points creating
+// stripes shorter than stripe/2 are removed, then points are added so that
+// no stripe exceeds stripe events. scratch is an intermediate buffer; the
+// extended dst and the (possibly regrown) scratch are returned so the
+// caller can reuse both across periods.
 func AppendStripePoints(dst, scratch []int64, boundaries []int64, hull dataspace.Interval, stripe int64) ([]int64, []int64) {
 	if stripe <= 0 {
 		panic("job: stripe must be positive")
@@ -183,13 +173,8 @@ func AppendStripePoints(dst, scratch []int64, boundaries []int64, hull dataspace
 	return dst, pts
 }
 
-// CutAtPoints splits iv at the given ascending cut points, returning the
-// resulting contiguous sub-intervals.
-func CutAtPoints(iv dataspace.Interval, points []int64) []dataspace.Interval {
-	return AppendCutAtPoints(nil, iv, points)
-}
-
-// AppendCutAtPoints is CutAtPoints appending to a caller-owned buffer.
+// AppendCutAtPoints splits iv at the given ascending cut points and
+// appends the resulting contiguous sub-intervals to dst.
 func AppendCutAtPoints(dst []dataspace.Interval, iv dataspace.Interval, points []int64) []dataspace.Interval {
 	pos := iv.Start
 	for _, p := range points {

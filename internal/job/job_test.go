@@ -9,7 +9,7 @@ import (
 )
 
 func TestSplitEqualBasic(t *testing.T) {
-	parts := SplitEqual(dataspace.Iv(0, 100), 4, 10)
+	parts := AppendSplitEqual(nil, dataspace.Iv(0, 100), 4, 10)
 	if len(parts) != 4 {
 		t.Fatalf("got %d parts, want 4", len(parts))
 	}
@@ -21,7 +21,7 @@ func TestSplitEqualBasic(t *testing.T) {
 }
 
 func TestSplitEqualUneven(t *testing.T) {
-	parts := SplitEqual(dataspace.Iv(0, 103), 4, 10)
+	parts := AppendSplitEqual(nil, dataspace.Iv(0, 103), 4, 10)
 	var total int64
 	pos := int64(0)
 	for _, p := range parts {
@@ -41,7 +41,7 @@ func TestSplitEqualUneven(t *testing.T) {
 }
 
 func TestSplitEqualRespectsMinimum(t *testing.T) {
-	parts := SplitEqual(dataspace.Iv(0, 35), 10, 10)
+	parts := AppendSplitEqual(nil, dataspace.Iv(0, 35), 10, 10)
 	if len(parts) != 3 {
 		t.Fatalf("got %d parts, want 3 (35 events / min 10)", len(parts))
 	}
@@ -53,11 +53,11 @@ func TestSplitEqualRespectsMinimum(t *testing.T) {
 }
 
 func TestSplitEqualTinyInterval(t *testing.T) {
-	parts := SplitEqual(dataspace.Iv(0, 5), 10, 10)
+	parts := AppendSplitEqual(nil, dataspace.Iv(0, 5), 10, 10)
 	if len(parts) != 1 || parts[0] != dataspace.Iv(0, 5) {
 		t.Errorf("tiny interval should yield itself: %v", parts)
 	}
-	if SplitEqual(dataspace.Interval{}, 3, 10) != nil {
+	if AppendSplitEqual(nil, dataspace.Interval{}, 3, 10) != nil {
 		t.Error("empty interval should yield nil")
 	}
 }
@@ -74,7 +74,7 @@ func TestSplitEqualProperty(t *testing.T) {
 			n = -n + 1
 		}
 		iv := dataspace.Iv(start, start+length)
-		parts := SplitEqual(iv, n, 10)
+		parts := AppendSplitEqual(nil, iv, n, 10)
 		var total int64
 		pos := iv.Start
 		for _, p := range parts {
@@ -104,7 +104,7 @@ func TestJobRemaining(t *testing.T) {
 
 func TestSplitForJob(t *testing.T) {
 	j := &Job{ID: 7, Range: dataspace.Iv(0, 100)}
-	subs := SplitForJob(j, SplitEqual(j.Range, 2, 10))
+	subs := SplitForJob(j, AppendSplitEqual(nil, j.Range, 2, 10))
 	if len(subs) != 2 || subs[0].Job != j || subs[1].Events() != 50 {
 		t.Errorf("SplitForJob = %v", subs)
 	}
@@ -112,7 +112,7 @@ func TestSplitForJob(t *testing.T) {
 
 func TestStripePointsMaxStripe(t *testing.T) {
 	hull := dataspace.Iv(0, 1000)
-	pts := StripePoints(nil, hull, 300)
+	pts, _ := AppendStripePoints(nil, nil, nil, hull, 300)
 	// No stripe may exceed 300.
 	for i := 1; i < len(pts); i++ {
 		if pts[i]-pts[i-1] > 300 {
@@ -128,7 +128,7 @@ func TestStripePointsDropsSmallStripes(t *testing.T) {
 	hull := dataspace.Iv(0, 1000)
 	// 490 and 510 are only 20 apart; with stripe 300 (half = 150), 510
 	// must be dropped after 490 is kept... then re-added stripes ≤ 300.
-	pts := StripePoints([]int64{490, 510}, hull, 300)
+	pts, _ := AppendStripePoints(nil, nil, []int64{490, 510}, hull, 300)
 	for i := 1; i < len(pts); i++ {
 		d := pts[i] - pts[i-1]
 		if d > 300 {
@@ -149,7 +149,7 @@ func TestStripePointsRandomised(t *testing.T) {
 		for i := 0; i < rng.Intn(30); i++ {
 			bs = append(bs, rng.Int63n(hull.End))
 		}
-		pts := StripePoints(bs, hull, stripe)
+		pts, _ := AppendStripePoints(nil, nil, bs, hull, stripe)
 		if pts[0] != hull.Start || pts[len(pts)-1] != hull.End {
 			t.Fatalf("hull ends missing: %v", pts)
 		}
@@ -166,7 +166,7 @@ func TestStripePointsRandomised(t *testing.T) {
 
 func TestCutAtPoints(t *testing.T) {
 	iv := dataspace.Iv(10, 50)
-	parts := CutAtPoints(iv, []int64{0, 20, 30, 50, 70})
+	parts := AppendCutAtPoints(nil, iv, []int64{0, 20, 30, 50, 70})
 	want := []dataspace.Interval{
 		dataspace.Iv(10, 20), dataspace.Iv(20, 30), dataspace.Iv(30, 50),
 	}

@@ -150,7 +150,7 @@ func TestGridTraceBypassesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() == 0 {
+	if len(rec.Events()) == 0 {
 		t.Fatal("traced cell recorded no events — cache hit skipped the simulation?")
 	}
 	if traced.CacheHits != len(traced.Results)-1 {
@@ -182,8 +182,8 @@ func TestRecorderDroppedCounts(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		rec.Add(trace.Event{Time: float64(i), Kind: trace.Sample})
 	}
-	if rec.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", rec.Len())
+	if len(rec.Events()) != 2 {
+		t.Fatalf("Len = %d, want 2", len(rec.Events()))
 	}
 	if rec.Dropped() != 3 {
 		t.Fatalf("Dropped = %d, want 3", rec.Dropped())

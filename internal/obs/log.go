@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"io"
 	"log/slog"
 )
@@ -31,22 +30,4 @@ func NewLogger(w io.Writer, clock Clock, level slog.Leveler) *slog.Logger {
 		},
 	})
 	return slog.New(h)
-}
-
-// logCtxKey scopes the context logger entry to this package.
-type logCtxKey struct{}
-
-// WithLogger stores l in ctx for handlers downstream of a middleware.
-func WithLogger(ctx context.Context, l *slog.Logger) context.Context {
-	return context.WithValue(ctx, logCtxKey{}, l)
-}
-
-// LoggerFrom returns the logger stored by WithLogger — already carrying
-// the request's correlation attributes — or a discard logger, so call
-// sites never nil-check.
-func LoggerFrom(ctx context.Context) *slog.Logger {
-	if l, ok := ctx.Value(logCtxKey{}).(*slog.Logger); ok && l != nil {
-		return l
-	}
-	return slog.New(slog.NewJSONHandler(io.Discard, nil))
 }

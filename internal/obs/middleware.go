@@ -33,9 +33,8 @@ type MiddlewareConfig struct {
 // Middleware wraps next with request-ID propagation, access logging and
 // latency observation. The inbound X-Request-Id is sanitized and
 // echoed; absent (or unsalvageable) ones are generated. The ID rides
-// the request context (RequestIDFrom) and a request-scoped logger
-// (LoggerFrom) into handlers, so async work they spawn can carry the
-// correlation onward.
+// the request context (RequestIDFrom) into handlers, so async work they
+// spawn can carry the correlation onward.
 func Middleware(next http.Handler, cfg MiddlewareConfig) http.Handler {
 	clock := cfg.Clock
 	if clock == nil {
@@ -49,9 +48,6 @@ func Middleware(next http.Handler, cfg MiddlewareConfig) http.Handler {
 		}
 		w.Header().Set(RequestIDHeader, id)
 		ctx := WithRequestID(r.Context(), id)
-		if cfg.Logger != nil {
-			ctx = WithLogger(ctx, cfg.Logger.With(slog.String("request_id", id)))
-		}
 		route := ""
 		if cfg.Route != nil {
 			route = cfg.Route(r)

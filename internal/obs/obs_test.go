@@ -159,11 +159,3 @@ func TestMiddlewarePreservesFlusher(t *testing.T) {
 		t.Errorf("flush did not reach the underlying writer (handler flushed: %v, recorder flushed: %v)", flushed, rec.Flushed)
 	}
 }
-
-func TestLoggerFromFallsBackToDiscard(t *testing.T) {
-	l := LoggerFrom(context.Background())
-	if l == nil {
-		t.Fatal("LoggerFrom returned nil")
-	}
-	l.Info("must not panic")
-}

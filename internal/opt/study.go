@@ -432,35 +432,28 @@ func (st Study) validateShallow() error {
 	return st.Search.validate()
 }
 
-// Validate reports the first problem that would prevent the study from
-// running: an unsupported schema version, an invalid axis, objective or
-// search block, a duplicate axis name, an oversized space, or a space
-// with no valid candidate.
-func (st Study) Validate() error {
-	if err := st.validateShallow(); err != nil {
-		return err
-	}
-	_, err := st.space()
-	return err
-}
-
 // Prepared is a validated, normalised study with its content hash and
 // enumerated candidate space. Parse → Prepare → Run does the space
 // enumeration (which spec-validates and hashes every cross-product
-// point) exactly once, where chaining Validate/Hash/Run would each
-// repeat it; cmd/physchedd prepares while planning a request and runs
-// the same preparation later.
+// point) exactly once; cmd/physchedd prepares while planning a request
+// and runs the same preparation later.
 type Prepared struct {
 	// Study is the normalised study.
 	Study Study
-	// Hash is the study's content address (identical to Study.Hash()).
+	// Hash is the study's content address: the hex SHA-256 of the
+	// canonical encoding, compact JSON of the normalised study. The
+	// search block is part of it, so the same space explored by a
+	// different algorithm, budget or sampling seed is a different study.
 	Hash string
 
 	sp *space
 }
 
 // Prepare validates, normalises, hashes and enumerates the study in one
-// pass.
+// pass. It reports the first problem that would prevent the study from
+// running: an unsupported schema version, an invalid axis, objective or
+// search block, a duplicate axis name, an oversized space, or a space
+// with no valid candidate.
 func (st Study) Prepare() (*Prepared, error) {
 	if err := st.validateShallow(); err != nil {
 		return nil, err
@@ -495,27 +488,4 @@ func (st Study) normalize() Study {
 	st.Objective = st.Objective.normalize()
 	st.Search = st.Search.normalize()
 	return st
-}
-
-// Canonical returns the study's canonical encoding: compact JSON of the
-// normalised, validated study with the schema's fixed field order.
-// Encoding, decoding and re-encoding a canonical form is byte-identical.
-func (st Study) Canonical() ([]byte, error) {
-	if err := st.Validate(); err != nil {
-		return nil, err
-	}
-	return json.Marshal(st.normalize())
-}
-
-// Hash is the hex SHA-256 of the canonical encoding — the study's content
-// address and its physchedd report handle. The search block is part of
-// the hash: the same space explored by a different algorithm, budget or
-// sampling seed is a different study.
-func (st Study) Hash() (string, error) {
-	c, err := st.Canonical()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(c)
-	return hex.EncodeToString(sum[:]), nil
 }

@@ -66,27 +66,6 @@ func (q MErM) MeanWait() (float64, error) {
 	return wqMM * (1 + cv2) / 2, nil
 }
 
-// MeanQueueLength returns the expected number of jobs waiting (Little).
-func (q MErM) MeanQueueLength() (float64, error) {
-	w, err := q.MeanWait()
-	if err != nil {
-		return 0, err
-	}
-	return q.Lambda * w, nil
-}
-
-// MeanSojourn returns the expected total time in system.
-func (q MErM) MeanSojourn() (float64, error) {
-	w, err := q.MeanWait()
-	if err != nil {
-		return 0, err
-	}
-	return w + q.MeanService, nil
-}
-
-// MaxLoad returns the largest sustainable arrival rate (jobs per second).
-func (q MErM) MaxLoad() float64 { return float64(q.Servers) / q.MeanService }
-
 // PollaczekKhinchine returns the exact M/G/1 mean waiting time for the
 // queue's Erlang service distribution: Wq = λ·E[S²]/(2(1−ρ)). It applies
 // only to single-server queues and is used to validate the Allen–Cunneen

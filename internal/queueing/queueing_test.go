@@ -60,25 +60,6 @@ func TestUnstableQueue(t *testing.T) {
 	}
 }
 
-func TestLittleLawConsistency(t *testing.T) {
-	q := MErM{Lambda: 0.3, MeanService: 2, Shape: 4, Servers: 3}
-	w, err := q.MeanWait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, err := q.MeanQueueLength()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(l-q.Lambda*w) > 1e-12 {
-		t.Errorf("Little's law violated: L=%v, λW=%v", l, q.Lambda*w)
-	}
-	soj, _ := q.MeanSojourn()
-	if math.Abs(soj-(w+2)) > 1e-12 {
-		t.Errorf("sojourn = %v, want wait+service", soj)
-	}
-}
-
 func TestValidation(t *testing.T) {
 	bad := []MErM{
 		{Lambda: 0, MeanService: 1, Shape: 1, Servers: 1},
@@ -95,9 +76,6 @@ func TestValidation(t *testing.T) {
 
 func TestMaxLoad(t *testing.T) {
 	q := MErM{Lambda: 1, MeanService: 4, Shape: 4, Servers: 8}
-	if got := q.MaxLoad(); got != 2 {
-		t.Errorf("MaxLoad = %v, want 2", got)
-	}
 	if got := q.Utilisation(); got != 0.5 {
 		t.Errorf("Utilisation = %v, want 0.5", got)
 	}

@@ -135,7 +135,7 @@ func (p *CacheOriented) donorNode(arriving *job.Job) *cluster.Node {
 		}
 		lo := r.Range.End - rem
 		remRange := dataspace.Iv(lo, r.Range.End)
-		share := float64(n.Cache.CachedPart(remRange).Len()) / float64(rem)
+		share := float64(n.Cache.CachedLen(remRange)) / float64(rem)
 		if share < donorShare {
 			donor, donorShare = n, share
 		}

@@ -85,7 +85,7 @@ func TestAdaptiveDelayTransitionsBothWays(t *testing.T) {
 	if pol.CurrentDelay() != 0 {
 		t.Fatalf("delay did not return to 0 (estimate %.2f j/h)", pol.LoadEstimate())
 	}
-	if !last.Started && len(h.c.IdleNodes()) > 0 {
+	if !last.Started && h.c.IdleCount() > 0 {
 		t.Error("zero-delay arrival not scheduled immediately")
 	}
 	h.eng.RunUntil(h.eng.Now() + 100*model.Hour)

@@ -64,12 +64,6 @@ func (e *Event) Cancel() {
 	}
 }
 
-// Cancelled reports whether the event was cancelled.
-func (e *Event) Cancelled() bool { return e.cancelled }
-
-// Time returns the simulated time the event is scheduled for.
-func (e *Event) Time() float64 { return e.time }
-
 // New returns an engine whose clock starts at zero, with a deterministic
 // random source derived from seed.
 func New(seed int64) *Engine {

@@ -2,8 +2,7 @@
 // histogram machinery used by the workload generator and the metrics
 // collector: exponential and Erlang distributions (job inter-arrival times
 // and event counts in the paper), streaming summaries, log-scale waiting
-// time histograms, EWMA load estimation and linear trend detection for
-// overload analysis.
+// time histograms and linear trend detection for overload analysis.
 package stats
 
 import (
@@ -31,11 +30,6 @@ func Erlang(rng *rand.Rand, shape int, mean float64) float64 {
 	}
 	return -math.Log(prod) * mean / float64(shape)
 }
-
-// ErlangCV2 returns the squared coefficient of variation of an Erlang
-// distribution with the given shape (1/shape). It parameterises the
-// queueing approximations in internal/queueing.
-func ErlangCV2(shape int) float64 { return 1 / float64(shape) }
 
 // PoissonProcess yields successive arrival times of a Poisson process with
 // the given rate (events per unit time), starting after start.

@@ -47,9 +47,6 @@ func (h *LogHistogram) Add(x float64) {
 // Total returns the number of observations, including underflow.
 func (h *LogHistogram) Total() int64 { return h.total }
 
-// Underflow returns the count of observations below the histogram range.
-func (h *LogHistogram) Underflow() int64 { return h.under }
-
 // Bucket describes one histogram bin.
 type Bucket struct {
 	Lo, Hi float64

@@ -74,34 +74,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// EWMA is an exponentially weighted moving average. The zero value with a
-// zero Alpha is invalid; construct with NewEWMA.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with smoothing factor alpha in (0, 1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha must be in (0,1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds one observation into the average.
-func (e *EWMA) Add(x float64) {
-	if !e.init {
-		e.value, e.init = x, true
-		return
-	}
-	e.value += e.alpha * (x - e.value)
-}
-
-// Value returns the current average (zero before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
 // LinearTrend fits y = a + b·x by least squares and returns the slope b.
 // It returns zero for fewer than two points or degenerate x.
 func LinearTrend(xs, ys []float64) float64 {

@@ -96,16 +96,6 @@ func (r *Recorder) Events() []Event {
 	return append([]Event(nil), r.events...)
 }
 
-// Len returns the number of events held in memory.
-func (r *Recorder) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
 // Dropped reports the number of events discarded because the in-memory
 // limit was reached — a capped trace export can tell "complete" from
 // "truncated" without guessing from the event count.
@@ -118,21 +108,7 @@ func (r *Recorder) Dropped() uint64 {
 	return r.dropped
 }
 
-// WriteJSONL writes all in-memory events to w as JSON Lines.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	for _, e := range r.Events() {
-		b, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(b, '\n')); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadJSONL parses events written by WriteJSONL.
+// ReadJSONL parses the JSON Lines a Recorder streams to its sink.
 func ReadJSONL(rd io.Reader) ([]Event, error) {
 	dec := json.NewDecoder(rd)
 	var out []Event

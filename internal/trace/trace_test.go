@@ -11,8 +11,8 @@ func TestRecorderAddAndEvents(t *testing.T) {
 	r := New(0, nil)
 	r.Add(Event{Time: 1, Kind: JobArrived, JobID: 1})
 	r.Add(Event{Time: 2, Kind: JobStarted, JobID: 1})
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
+	if len(r.Events()) != 2 {
+		t.Fatalf("Len = %d, want 2", len(r.Events()))
 	}
 	evs := r.Events()
 	if evs[0].Kind != JobArrived || evs[1].Kind != JobStarted {
@@ -28,7 +28,7 @@ func TestRecorderAddAndEvents(t *testing.T) {
 func TestNilRecorderIsNoop(t *testing.T) {
 	var r *Recorder
 	r.Add(Event{Kind: JobArrived}) // must not panic
-	if r.Len() != 0 || r.Events() != nil {
+	if len(r.Events()) != 0 || r.Events() != nil {
 		t.Error("nil recorder should be empty")
 	}
 }
@@ -38,8 +38,8 @@ func TestLimitCapsMemory(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Add(Event{Time: float64(i), Kind: Sample})
 	}
-	if r.Len() != 3 {
-		t.Errorf("Len = %d, want 3", r.Len())
+	if len(r.Events()) != 3 {
+		t.Errorf("Len = %d, want 3", len(r.Events()))
 	}
 }
 
@@ -59,13 +59,10 @@ func TestStreamingSink(t *testing.T) {
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
-	r := New(0, nil)
+	var buf bytes.Buffer
+	r := New(0, &buf)
 	r.Add(Event{Time: 1.5, Kind: SubjobStarted, JobID: 7, Node: 2, Events: 100})
 	r.Add(Event{Time: 9, Kind: Sample, BusyNodes: 3, Backlog: 12, CacheUsed: 5000, CacheHitRate: 0.75})
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
 	back, err := ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)

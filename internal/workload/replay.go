@@ -75,9 +75,6 @@ func NewReplay(r io.Reader) (*Replay, error) {
 	return &Replay{records: records}, nil
 }
 
-// Len returns the number of jobs in the trace.
-func (r *Replay) Len() int { return len(r.records) }
-
 // Next returns the next job of the trace, or nil when exhausted.
 func (r *Replay) Next() *job.Job {
 	if r.next >= len(r.records) {
@@ -92,7 +89,3 @@ func (r *Replay) Next() *job.Job {
 	r.next++
 	return j
 }
-
-// Rewind restarts the trace from the beginning. Jobs returned after a
-// rewind are fresh values, so a second simulation sees clean state.
-func (r *Replay) Rewind() { r.next = 0 }

@@ -19,10 +19,6 @@ func TestExportReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", rep.Len())
-	}
-
 	// Replaying must give the same stream as a fresh generator with the
 	// same seed.
 	gen2 := New(p, rand.New(rand.NewSource(9)), 1.5)
@@ -38,29 +34,6 @@ func TestExportReplayRoundTrip(t *testing.T) {
 	}
 	if rep.Next() != nil {
 		t.Error("exhausted trace should return nil")
-	}
-}
-
-func TestReplayRewind(t *testing.T) {
-	var buf bytes.Buffer
-	gen := New(testParams(), rand.New(rand.NewSource(1)), 1)
-	if err := Export(&buf, gen, 5); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := NewReplay(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := rep.Next()
-	for rep.Next() != nil {
-	}
-	rep.Rewind()
-	again := rep.Next()
-	if again.Arrival != first.Arrival || again.Range != first.Range {
-		t.Error("rewind did not restart the trace")
-	}
-	if again == first {
-		t.Error("rewound jobs must be fresh values, not shared pointers")
 	}
 }
 
@@ -83,7 +56,7 @@ func TestReplayEmptyTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Len() != 0 || rep.Next() != nil {
+	if rep.Next() != nil {
 		t.Error("empty trace should yield nothing")
 	}
 }

@@ -31,14 +31,14 @@
 // cmd/physchedd HTTP service, which executes POSTed grid specs with
 // streamed NDJSON progress and serves cached results by hash. A spec
 // file drives `physchedsim -spec` and `experiments -spec` unchanged; see
-// examples/specfile. On top of the spec layer, a Study (internal/opt)
+// examples/specfile. On top of the spec layer, a study (internal/opt)
 // searches the spec space under a simulation-cell budget — seeded random
-// search or CI-aware successive halving — via RunStudy, `physchedsim
-// -study` or POST /v1/studies.
+// search or CI-aware successive halving — via `physchedsim -study` or
+// POST /v1/studies.
 //
-// The experiment recipes behind every figure of the paper are exposed via
-// the Fig2..Fig7, Replication, MaxLoad and FarmVsMErM functions; the
-// cmd/experiments binary renders them as tables, ASCII plots and CSV.
+// The experiment recipes behind every figure of the paper live in
+// internal/experiments; the cmd/experiments binary renders them as tables,
+// ASCII plots and CSV.
 package physched
 
 import (
@@ -49,7 +49,6 @@ import (
 	"physched/internal/experiments"
 	"physched/internal/lab"
 	"physched/internal/model"
-	"physched/internal/opt"
 	"physched/internal/resultcache"
 	"physched/internal/sched"
 	"physched/internal/spec"
@@ -70,26 +69,15 @@ type Result = lab.Result
 // Curve is a labelled series of results over a load axis (one figure line).
 type Curve = lab.Curve
 
-// Variant is one curve specification for SweepCurves and Grid.
+// Variant is one curve specification for SweepCurves.
 type Variant = lab.Variant
 
-// Grid is a scenario space — variants × loads × seeds — executed on a
-// bounded worker pool; RunSet holds its results and Options configures
-// parallelism, cancellation and progress reporting. See internal/lab.
-type Grid = lab.Grid
-
-// RunSet holds a grid's results.
-type RunSet = lab.RunSet
-
-// Options configure grid execution (worker bound, context, progress).
+// Options configure grid execution (worker bound, context, progress,
+// result cache).
 type Options = lab.Options
 
 // ProgressUpdate reports one completed run of a grid.
 type ProgressUpdate = lab.ProgressUpdate
-
-// Aggregate summarises replicated runs across seeds, with 95% confidence
-// intervals.
-type Aggregate = lab.Aggregate
 
 // Policy is the scheduling-policy plugin interface.
 type Policy = sched.Policy
@@ -103,20 +91,10 @@ type FaultModel = cluster.FaultModel
 // Figure is a reproduced paper figure.
 type Figure = experiments.Figure
 
-// Quality selects experiment scale (Quick or Full).
-type Quality = experiments.Quality
-
-// Experiment scales.
-const (
-	Quick = experiments.Quick
-	Full  = experiments.Full
-)
-
 // Time units in seconds, for Scenario and policy parameters.
 const (
 	Minute = model.Minute
 	Hour   = model.Hour
-	Day    = model.Day
 	Week   = model.Week
 	GB     = model.GB
 )
@@ -136,13 +114,6 @@ func CacheOriented() Policy { return sched.NewCacheOriented() }
 func OutOfOrder() Policy    { return sched.NewOutOfOrder() }
 func Replication() Policy   { return sched.NewReplication() }
 
-// Partitioned returns the static data-partitioning baseline (one owner
-// node per dataspace slice); AffineFarm the cache-affine farm baseline
-// (caching and affinity routing without job splitting). Both are
-// extensions of this repo, not paper policies.
-func Partitioned() Policy { return sched.NewPartitioned() }
-func AffineFarm() Policy  { return sched.NewAffineFarm() }
-
 // Delayed returns the delayed-scheduling policy with the given period
 // delay (seconds) and stripe size (events).
 func Delayed(period float64, stripe int64) Policy { return sched.NewDelayed(period, stripe) }
@@ -158,24 +129,6 @@ type WorkloadSource = workload.Source
 // given parameters, seed and arrival rate in jobs per hour.
 func NewWorkloadGenerator(p Params, seed int64, jobsPerHour float64) WorkloadSource {
 	return workload.New(p, rand.New(rand.NewSource(seed)), jobsPerHour)
-}
-
-// RateFunc is an instantaneous arrival rate in jobs per hour as a
-// function of simulated time in seconds, for inhomogeneous workloads.
-type RateFunc = workload.RateFunc
-
-// NewInhomogeneousWorkloadGenerator returns a job stream whose arrivals
-// follow an inhomogeneous Poisson process with rate rate(t) bounded by
-// peakJobsPerHour (Lewis–Shedler thinning). Job sizes and start points
-// match the paper's synthetic stream.
-func NewInhomogeneousWorkloadGenerator(p Params, seed int64, rate RateFunc, peakJobsPerHour float64) WorkloadSource {
-	return workload.NewInhomogeneous(p, rand.New(rand.NewSource(seed)), rate, peakJobsPerHour)
-}
-
-// DayNightRate returns a 24-hour sinusoidal load cycle with the given
-// mean rate and swing in [0,1): mean·(1 + swing·sin(2πt/day)).
-func DayNightRate(meanJobsPerHour, swing float64) RateFunc {
-	return workload.DayNight(meanJobsPerHour, swing)
 }
 
 // ExportWorkload writes the next n jobs of src to w as JSON Lines;
@@ -197,7 +150,8 @@ type Spec = spec.Spec
 
 // GridSpec is the declarative form of a scenario grid — a base Spec
 // crossed with variants, a load axis and a seed axis. GridSpec.Compile
-// yields a Grid; GridSpec.Keys feeds Options for result caching.
+// yields an executable grid; GridSpec.Keys feeds Options for result
+// caching.
 type GridSpec = spec.Grid
 
 // PolicySpec names a scheduling policy plus its serialisable arguments,
@@ -218,44 +172,8 @@ type FaultsSpec = spec.Faults
 // VariantSpec is one declarative grid variant (whole-field overlays).
 type VariantSpec = spec.Variant
 
-// ParseSpec and ParseGridSpec read JSON spec files, rejecting unknown
-// fields.
-func ParseSpec(r io.Reader) (Spec, error)         { return spec.Parse(r) }
+// ParseGridSpec reads a JSON grid spec file, rejecting unknown fields.
 func ParseGridSpec(r io.Reader) (GridSpec, error) { return spec.ParseGrid(r) }
-
-// Study is the declarative form of a budgeted scenario search: a base
-// Spec, search axes (categorical policy/workload choices and numeric
-// ranges), an objective over replica aggregates, and a search block
-// (random or successive-halving, budget in simulation cells). Like Spec
-// it is canonical JSON with a content hash; RunStudy executes it.
-type Study = opt.Study
-
-// StudyAxis is one search dimension of a Study.
-type StudyAxis = opt.Axis
-
-// StudyObjective selects the metric and direction a Study optimises.
-type StudyObjective = opt.Objective
-
-// StudySearch configures a Study's search driver and budget.
-type StudySearch = opt.Search
-
-// StudyReport is a finished study's outcome: winner, leaderboard,
-// budget accounting and the best-objective-vs-budget trajectory.
-type StudyReport = opt.Report
-
-// StudyOptions configure study execution (worker bound or shared pool,
-// context, result cache, progress).
-type StudyOptions = opt.Options
-
-// ParseStudy reads a JSON study file, rejecting unknown fields.
-func ParseStudy(r io.Reader) (Study, error) { return opt.Parse(r) }
-
-// RunStudy executes a budgeted scenario search. Every candidate
-// evaluation runs through the grid layer with the configured cache, so
-// re-running a study against a warm cache re-simulates nothing and the
-// report is byte-identical across serial, parallel and shared-pool
-// execution.
-func RunStudy(st Study, o StudyOptions) (*StudyReport, error) { return opt.Run(st, o) }
 
 // ResultCache is a content-addressed store of results keyed by spec hash;
 // set it (with GridSpec.Keys) on Options so re-executed grids skip every
@@ -268,11 +186,8 @@ type ResultCache = lab.ResultCache
 func OpenResultCache(dir string) (ResultCache, error) { return resultcache.Open(dir) }
 
 // Run executes one scenario to completion, panicking on an invalid
-// scenario; RunE reports the problem as an error instead.
+// scenario.
 func Run(s Scenario) Result { return lab.Run(s) }
-
-// RunE executes one scenario to completion.
-func RunE(s Scenario) (Result, error) { return lab.RunE(s) }
 
 // Sweep runs the scenario at each load (jobs/hour) on a bounded worker
 // pool. Results carry summaries only; use Run for the full Collector.
@@ -291,34 +206,4 @@ func SweepCurves(s Scenario, loads []float64, vs []Variant) []Curve {
 // sustains without overload.
 func SustainableLoad(s Scenario, loads []float64) float64 {
 	return lab.SustainableLoad(s, loads, lab.Options{})
-}
-
-// Replicate runs the scenario once per seed on the worker pool and
-// aggregates the replicas with confidence intervals. The error is non-nil
-// when Options.Context cancelled execution; the aggregate then covers
-// only the completed replicas.
-func Replicate(s Scenario, seeds []int64, opts Options) (Aggregate, error) {
-	return lab.Replicate(s, seeds, opts)
-}
-
-// Seeds derives n well-spread replication seeds from one base seed;
-// DeriveSeed mixes a base seed with arbitrary coordinates.
-func Seeds(base int64, n int) []int64              { return lab.Seeds(base, n) }
-func DeriveSeed(base int64, coords ...int64) int64 { return lab.DeriveSeed(base, coords...) }
-
-// Figure reproductions; see DESIGN.md for the experiment index.
-func Fig2(q Quality, seed int64) Figure                     { return experiments.Fig2(q, seed) }
-func Fig3(q Quality, seed int64) Figure                     { return experiments.Fig3(q, seed) }
-func Fig4(q Quality, seed int64) []experiments.Distribution { return experiments.Fig4(q, seed) }
-func Fig5(q Quality, seed int64) Figure                     { return experiments.Fig5(q, seed) }
-func Fig6(q Quality, seed int64) Figure                     { return experiments.Fig6(q, seed) }
-func Fig7(q Quality, seed int64) Figure                     { return experiments.Fig7(q, seed) }
-func ReplicationStudy(q Quality, seed int64) []experiments.ReplicationRow {
-	return experiments.Replication(q, seed)
-}
-func MaxLoadStudy(q Quality, seed int64) []experiments.MaxLoadResult {
-	return experiments.MaxLoad(q, seed)
-}
-func FarmVsMErM(q Quality, seed int64) []experiments.FarmRow {
-	return experiments.FarmVsMErM(q, seed)
 }
