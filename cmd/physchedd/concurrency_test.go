@@ -12,13 +12,13 @@ import (
 	"physched/internal/resultcache"
 )
 
-// gaugedStore wraps a Store and gauges how many simulation cells are
+// gaugedStore wraps a store and gauges how many simulation cells are
 // executing at once: grid execution calls Get right before simulating a
 // cell (miss) and Put right after, so the miss→Put window brackets the
 // run. The small sleep widens the window so oversubscription cannot
 // slip through between samples.
 type gaugedStore struct {
-	resultcache.Store
+	*resultcache.Store
 	mu        sync.Mutex
 	cur, peak int
 }

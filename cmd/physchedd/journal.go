@@ -218,7 +218,8 @@ func (w *jobWriter) end(rec journalEnd) {
 }
 
 // recoverJobs reloads the state directory on startup: finished jobs come
-// back queryable and replayable byte-for-byte; jobs that were running
+// back queryable and replayable byte-for-byte, finished studies with
+// their reports, in journal (creation) order; jobs that were running
 // when the process died are restarted from their journaled request —
 // through the content cache, so only cells the dead run had not finished
 // are re-simulated.
@@ -239,12 +240,25 @@ func (s *server) recoverJobs() error {
 			}
 		}
 		if jf.end != nil {
-			s.jobs.add(restoreJob(jf, s.clock))
+			j := restoreJob(jf, s.clock)
+			s.jobs.add(j)
+			if j.state == jobDone && jf.meta.Kind == "study" && len(jf.lines) > 0 {
+				s.restoreReport(jf.lines[len(jf.lines)-1])
+			}
 			continue
 		}
 		s.resumeJob(jf.meta)
 	}
 	return nil
+}
+
+// restoreReport puts a finished study's report, carried by its terminal
+// study line, back where GET /v1/studies/{hash} looks for it.
+func (s *server) restoreReport(line []byte) {
+	var sl studyLine
+	if json.Unmarshal(line, &sl) == nil && sl.Type == "study" && sl.Report != nil {
+		s.studies.put(sl.StudyHash, sl.Report)
+	}
 }
 
 // terminalEnd reconstructs an end record from a stream line if that line

@@ -11,7 +11,7 @@ import (
 // handleMetrics serves operational counters in the Prometheus text
 // exposition format — hand-rolled, since the format is a few lines of
 // printf and the repo takes no dependencies. Counters come from the
-// instrumented layers underneath (lab.Pool.Stats, resultcache.Counted,
+// instrumented layers underneath (lab.Pool.Stats, resultcache.Store.Stats,
 // the job manager); this handler only formats snapshots.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
@@ -55,6 +55,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fam("physchedd_cache_puts_total", "counter", "Result-cache writes by kind.")
 	fmt.Fprintf(&b, "physchedd_cache_puts_total{kind=\"result\"} %d\n", cs.Puts)
 	fmt.Fprintf(&b, "physchedd_cache_puts_total{kind=\"aggregate\"} %d\n", cs.AggPuts)
+	fam("physchedd_cache_corrupt_total", "counter", "On-disk result-cache entries that failed verification and read as misses.")
+	fmt.Fprintf(&b, "physchedd_cache_corrupt_total %d\n", cs.Corrupt)
 
 	byState, evicted := s.jobs.counts()
 	fam("physchedd_jobs", "gauge", "Retained async jobs by lifecycle state.")

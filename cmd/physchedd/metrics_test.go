@@ -70,7 +70,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, family := range []string{
 		"physchedd_pool_workers", "physchedd_pool_busy", "physchedd_pool_utilization",
 		"physchedd_pool_tasks_total", "physchedd_cells_per_second", "physchedd_inflight",
-		"physchedd_cache_gets_total", "physchedd_cache_puts_total",
+		"physchedd_cache_gets_total", "physchedd_cache_puts_total", "physchedd_cache_corrupt_total",
 		"physchedd_jobs", "physchedd_jobs_evicted_total",
 		"physchedd_study_reports", "physchedd_study_reports_evicted_total",
 	} {

@@ -50,13 +50,19 @@ func persistServer(t *testing.T, cacheDir, stateDir string, pool *lab.Pool) (*se
 // rawStream reads a job's full NDJSON stream verbatim.
 func rawStream(t *testing.T, ts *httptest.Server, id string) []byte {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
+	return rawGet(t, ts, "/v1/jobs/"+id+"/stream")
+}
+
+// rawGet reads the body of a GET of path verbatim, failing on a non-200.
+func rawGet(t *testing.T, ts *httptest.Server, path string) []byte {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status %d", resp.StatusCode)
+		t.Fatalf("GET %s: status %d", path, resp.StatusCode)
 	}
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -112,6 +118,36 @@ func TestFinishedJobsSurviveRestart(t *testing.T) {
 	}
 	if len(listing.Jobs) != 1 || listing.Jobs[0].ID != sub.JobID {
 		t.Errorf("restored listing %+v, want the one restored job", listing.Jobs)
+	}
+}
+
+// TestFinishedStudyReportSurvivesRestart: a finished async study's
+// report stays served by GET /v1/studies/{hash} across a restart on the
+// same state directory, byte for byte.
+func TestFinishedStudyReportSurvivesRestart(t *testing.T) {
+	cacheDir, stateDir := t.TempDir(), t.TempDir()
+
+	_, ts1 := persistServer(t, cacheDir, stateDir, nil)
+	resp, err := http.Post(ts1.URL+"/v1/studies?async=1", "application/json", strings.NewReader(studyBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sub jobSubmitted
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, ts1, sub.JobID); st.State != string(jobDone) {
+		t.Fatalf("study finished in state %q (%s)", st.State, st.Error)
+	}
+	before := rawGet(t, ts1, "/v1/studies/"+sub.Hash)
+	ts1.Close()
+
+	_, ts2 := persistServer(t, cacheDir, stateDir, nil)
+	after := rawGet(t, ts2, "/v1/studies/"+sub.Hash)
+	if !bytes.Equal(before, after) {
+		t.Errorf("report changed across restart:\nbefore %s\nafter  %s", before, after)
 	}
 }
 
@@ -432,4 +468,40 @@ func TestTerminalLineWithoutEndRestores(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzJournalLoadFile feeds arbitrary bytes to the journal loader: it
+// must never panic, and a file it accepts starts with a meta line of the
+// current version and a non-empty id. The seed is a finished job's
+// journal written through the journal's own writer.
+func FuzzJournalLoadFile(f *testing.F) {
+	jr, err := newJobJournal(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	w, err := jr.create(journalMeta{Type: "meta", V: journalVersion, ID: "seed", Kind: "grid",
+		Hash: strings.Repeat("a", 64), Total: 1, Created: persistEpoch, Request: json.RawMessage(gridBody)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	w.line([]byte(`{"type":"progress","done":1,"total":1,"label":"ooo","load":0.8,"seed":1,"overloaded":false,"from_cache":false}` + "\n"))
+	w.end(journalEnd{Type: "end", State: string(jobDone), Finished: persistEpoch, Done: 1, Total: 1})
+	seed, err := os.ReadFile(jr.path("seed"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if jf, ok := jr.loadFile(jr.path("seed")); !ok || jf.end == nil || len(jf.lines) != 1 {
+		f.Fatalf("seed journal does not load whole: ok=%v %+v", ok, jf)
+	}
+	f.Add(seed)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.job.ndjson")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		jf, ok := jr.loadFile(path)
+		if ok && (jf.meta.Type != "meta" || jf.meta.V != journalVersion || jf.meta.ID == "") {
+			t.Errorf("accepted a journal without a current meta line: %+v", jf.meta)
+		}
+	})
 }

@@ -47,7 +47,7 @@ type (
 // serverConfig wires the spec layer, the shared lab pool and the result
 // cache behind the HTTP API.
 type serverConfig struct {
-	Cache resultcache.Store
+	Cache resultStore
 	// Pool is the server-wide execution pool: every request's simulation
 	// cells run on it, so its worker bound caps concurrent simulations
 	// across all in-flight requests. nil creates a GOMAXPROCS-wide pool.
@@ -85,6 +85,16 @@ type serverConfig struct {
 	MaxTraceEvents int
 }
 
+// resultStore is what the server needs of its result cache: a
+// *resultcache.Store, or a test wrapper around one that gauges the cells
+// in flight.
+type resultStore interface {
+	lab.ResultCache
+	GetAggregate(key string) (lab.Aggregate, bool)
+	PutAggregate(key string, a lab.Aggregate)
+	Stats() resultcache.Stats
+}
+
 const defaultMaxJobs = 64
 
 // defaultMaxTraceEvents bounds the in-memory trace buffer of one traced
@@ -93,7 +103,7 @@ const defaultMaxJobs = 64
 const defaultMaxTraceEvents = 100_000
 
 type server struct {
-	cache          *resultcache.Counted
+	cache          resultStore
 	pool           *lab.Pool
 	maxCells       int
 	maxInflight    int
@@ -150,7 +160,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		cfg.MaxTraceEvents = defaultMaxTraceEvents
 	}
 	s := &server{
-		cache:          resultcache.NewCounted(cfg.Cache),
+		cache:          cfg.Cache,
 		pool:           cfg.Pool,
 		maxCells:       cfg.MaxCells,
 		maxInflight:    cfg.MaxInflight,

@@ -54,6 +54,7 @@ var requiredFamilies = []string{
 	"physchedd_inflight",
 	"physchedd_cache_gets_total",
 	"physchedd_cache_puts_total",
+	"physchedd_cache_corrupt_total",
 	"physchedd_jobs",
 	"physchedd_jobs_evicted_total",
 	"physchedd_trace_jobs_total",

@@ -17,7 +17,7 @@ func testParams() model.Params {
 }
 
 func newTestCluster(cfg Config) (*sim.Engine, *Cluster) {
-	eng := sim.New(1)
+	eng := sim.New()
 	return eng, New(eng, testParams(), cfg)
 }
 

@@ -188,7 +188,7 @@ func TestDownNodeServesNoRemoteReads(t *testing.T) {
 // the engine with no jobs at all, deterministically per seed.
 func TestInstallFaultsChurns(t *testing.T) {
 	run := func(seed int64) (Stats, []trace.Event) {
-		eng := sim.New(1)
+		eng := sim.New()
 		c := New(eng, testParams(), Config{})
 		c.Tracer = trace.New(0, nil)
 		m := FaultModel{MTBFHours: 24, RepairHours: 6, DayNightSwing: 0.5, DecommissionProb: 0.2}

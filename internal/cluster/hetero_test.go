@@ -13,7 +13,7 @@ import (
 func TestHeterogeneousNodeSpeeds(t *testing.T) {
 	p := testParams()
 	p.NodeSpeedFactors = []float64{1, 2, 0.5} // node 1 half speed, node 2 double
-	eng := sim.New(1)
+	eng := sim.New()
 	c := New(eng, p, Config{Caching: true})
 
 	runOn := func(node int, iv dataspace.Interval) float64 {
@@ -57,7 +57,7 @@ func TestHeterogeneousValidation(t *testing.T) {
 func TestPipelinedTransfersOverlap(t *testing.T) {
 	p := testParams()
 	p.PipelinedTransfers = true
-	eng := sim.New(1)
+	eng := sim.New()
 	c := New(eng, p, Config{Caching: true})
 	j := mkJob(1, dataspace.Iv(0, 1000))
 	c.Dispatch(c.Node(0), &job.Subjob{Job: j, Range: j.Range})

@@ -55,7 +55,7 @@ func tortureRun(t *testing.T, cfg Config) {
 	p.MeanJobEvents = 500
 	p.DataspaceBytes = 30 * model.GB // 50k events
 	p.CacheBytes = 3 * model.GB      // 5k events per node
-	eng := sim.New(99)
+	eng := sim.New()
 	c := New(eng, p, cfg)
 
 	rng := rand.New(rand.NewSource(42))

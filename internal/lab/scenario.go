@@ -193,7 +193,7 @@ func RunE(s Scenario) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
-	eng := sim.New(s.Seed)
+	eng := sim.New()
 	policy := s.NewPolicy()
 	cl := cluster.New(eng, s.Params, policy.ClusterConfig())
 	faulted := s.Faults.Enabled()

@@ -1,6 +1,7 @@
 package resultcache
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -26,17 +27,26 @@ func sampleResult() lab.Result {
 	}
 }
 
-func stores(t *testing.T) map[string]Store {
+func sampleAggregate() lab.Aggregate {
+	return lab.Aggregate{Replicas: 3, Overloaded: 1, SpeedupMean: 8,
+		Results: []lab.Result{sampleResult()}}
+}
+
+func mustOpen(t testing.TB, dir string) *Store {
 	t.Helper()
-	disk, err := NewDisk(t.TempDir())
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	layered, err := Open(filepath.Join(t.TempDir(), "cache"))
-	if err != nil {
-		t.Fatal(err)
+	return s
+}
+
+func stores(t *testing.T) map[string]*Store {
+	t.Helper()
+	return map[string]*Store{
+		"memory": NewMemory(),
+		"disk":   mustOpen(t, filepath.Join(t.TempDir(), "cache")),
 	}
-	return map[string]Store{"memory": NewMemory(), "disk": disk, "layered": layered}
 }
 
 func TestStoreRoundTrip(t *testing.T) {
@@ -58,18 +68,20 @@ func TestStoreRoundTrip(t *testing.T) {
 				t.Errorf("result changed through the store:\n%s\n%s", b, a)
 			}
 
-			agg := lab.Aggregate{Replicas: 3, Overloaded: 1, SpeedupMean: 8,
-				Results: []lab.Result{want}}
 			if _, ok := s.GetAggregate(key); ok {
 				t.Fatal("aggregate hit on empty store")
 			}
-			s.PutAggregate(key, agg)
+			s.PutAggregate(key, sampleAggregate())
 			gotAgg, ok := s.GetAggregate(key)
 			if !ok {
 				t.Fatal("aggregate miss after Put")
 			}
 			if gotAgg.Replicas != 3 || gotAgg.Overloaded != 1 || len(gotAgg.Results) != 1 {
 				t.Errorf("aggregate changed through the store: %+v", gotAgg)
+			}
+			want2 := Stats{Hits: 1, Misses: 1, Puts: 1, AggHits: 1, AggMisses: 1, AggPuts: 1}
+			if st := s.Stats(); st != want2 {
+				t.Errorf("Stats = %+v, want %+v", st, want2)
 			}
 		})
 	}
@@ -103,9 +115,11 @@ func fillDistinct(t *testing.T, v reflect.Value, next *int) {
 	}
 }
 
-// TestMemoryKeepsEveryStoredField pins Memory's compact entry to
-// lab.Result: with every field of a Result set, Put then Get must return
-// exactly r.Stored(). A Result field the entry does not carry fails here.
+// TestMemoryKeepsEveryStoredField pins the compact memory entry, and the
+// disk file behind it, to lab.Result: with every field of a Result set,
+// Put then Get must return exactly r.Stored(), from memory and from a
+// second store reading the file. A Result field either form does not
+// carry fails here.
 func TestMemoryKeepsEveryStoredField(t *testing.T) {
 	var r lab.Result
 	rv := reflect.ValueOf(&r).Elem()
@@ -123,31 +137,28 @@ func TestMemoryKeepsEveryStoredField(t *testing.T) {
 			t.Fatalf("field %s left zero", rv.Type().Field(i).Name)
 		}
 	}
-	m := NewMemory()
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
 	key := testKey(4)
-	m.Put(key, r)
-	got, ok := m.Get(key)
-	if !ok {
-		t.Fatal("miss after Put")
-	}
-	if want := r.Stored(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Put→Get changed the result:\n got %+v\nwant %+v", got, want)
-	}
-	if m.Len() != 1 {
-		t.Errorf("Len = %d, want 1", m.Len())
+	s.Put(key, r)
+	for name, from := range map[string]*Store{"memory": s, "disk": mustOpen(t, dir)} {
+		got, ok := from.Get(key)
+		if !ok {
+			t.Fatalf("%s: miss after Put", name)
+		}
+		if want := r.Stored(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Put→Get changed the result:\n got %+v\nwant %+v", name, got, want)
+		}
 	}
 }
 
 func TestDiskRejectsInvalidKeys(t *testing.T) {
 	dir := t.TempDir()
-	d, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, dir)
 	for _, key := range []string{"", "short", "../../etc/passwd",
 		strings.Repeat("Z", 64), strings.Repeat("a", 63) + "/"} {
-		d.Put(key, sampleResult())
-		if _, ok := d.Get(key); ok {
+		s.Put(key, sampleResult())
+		if _, ok := s.Get(key); ok {
 			t.Errorf("invalid key %q stored", key)
 		}
 	}
@@ -162,57 +173,152 @@ func TestDiskRejectsInvalidKeys(t *testing.T) {
 
 func TestDiskSurvivesCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
-	d, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustOpen(t, dir)
 	key := testKey(1)
 	if err := os.WriteFile(filepath.Join(dir, key+".result.json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := d.Get(key); ok {
+	if _, ok := s.Get(key); ok {
 		t.Error("corrupt entry served as a hit")
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Misses != 1 {
+		t.Errorf("Stats = %+v, want one corrupt miss", st)
 	}
 }
 
 func TestDiskPersistsAcrossOpens(t *testing.T) {
 	dir := t.TempDir()
-	d1, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	key := testKey(2)
-	d1.Put(key, sampleResult())
-	d2, err := NewDisk(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d2.Get(key); !ok {
+	mustOpen(t, dir).Put(key, sampleResult())
+	if _, ok := mustOpen(t, dir).Get(key); !ok {
 		t.Error("entry lost across re-open")
 	}
 }
 
-func TestLayeredBackfill(t *testing.T) {
-	mem := NewMemory()
-	disk, err := NewDisk(t.TempDir())
-	if err != nil {
+// TestGetCopiesDiskHitIntoMemory: an entry only the directory holds is
+// served from memory after its first Get, even once the file is gone.
+func TestGetCopiesDiskHitIntoMemory(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(3)
+	mustOpen(t, dir).Put(key, sampleResult())
+	s := mustOpen(t, dir)
+	if _, ok := s.Get(key); !ok {
+		t.Fatal("miss on a disk-resident entry")
+	}
+	if err := os.Remove(filepath.Join(dir, key+".result.json")); err != nil {
 		t.Fatal(err)
 	}
-	l := NewLayered(mem, disk)
-	key := testKey(3)
-	disk.Put(key, sampleResult()) // only the slow layer holds it
-	if mem.Len() != 0 {
-		t.Fatal("memory layer unexpectedly warm")
+	if _, ok := s.Get(key); !ok {
+		t.Error("disk hit was not copied into memory")
 	}
-	if _, ok := l.Get(key); !ok {
-		t.Fatal("layered miss on disk-resident entry")
+}
+
+// TestPutLeavesHeldKeyAlone: a content key's value never changes, so a
+// second Put of a key the store holds writes nothing. The file removed
+// after the first Put stays gone.
+func TestPutLeavesHeldKeyAlone(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
+	key := testKey(5)
+	for kind, put := range map[string]func(){
+		"result":    func() { s.Put(key, sampleResult()) },
+		"aggregate": func() { s.PutAggregate(key, sampleAggregate()) },
+	} {
+		path := filepath.Join(dir, key+"."+kind+".json")
+		put()
+		if err := os.Remove(path); err != nil {
+			t.Fatalf("%s: first Put wrote no file: %v", kind, err)
+		}
+		put()
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: second Put of a held key rewrote its file", kind)
+		}
 	}
-	if mem.Len() != 1 {
-		t.Error("hit did not back-fill the memory layer")
+	if st := s.Stats(); st.Puts != 2 || st.AggPuts != 2 {
+		t.Errorf("Stats = %+v, want every Put counted", st)
 	}
-	if _, ok := mem.Get(key); !ok {
-		t.Error("memory layer missing the back-filled entry")
+}
+
+// TestBitFlipsReadAsMisses flips every bit of a stored result entry and
+// of a stored aggregate entry in turn: each damaged file must read as a
+// miss, counted as corrupt, never as a hit with another value.
+func TestBitFlipsReadAsMisses(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(0)
+	s := mustOpen(t, dir)
+	s.Put(key, sampleResult())
+	s.PutAggregate(key, sampleAggregate())
+	for kind, get := range map[string]func(*Store) bool{
+		"result":    func(s *Store) bool { _, ok := s.Get(key); return ok },
+		"aggregate": func(s *Store) bool { _, ok := s.GetAggregate(key); return ok },
+	} {
+		path := filepath.Join(dir, key+"."+kind+".json")
+		orig, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !get(mustOpen(t, dir)) {
+			t.Fatalf("%s: intact entry read as a miss", kind)
+		}
+		flipped := make([]byte, len(orig))
+		hits := 0
+		for bit := 0; bit < 8*len(orig); bit++ {
+			copy(flipped, orig)
+			flipped[bit/8] ^= 1 << (bit % 8)
+			if err := os.WriteFile(path, flipped, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			fresh := mustOpen(t, dir)
+			if get(fresh) {
+				hits++
+			} else if fresh.Stats().Corrupt != 1 {
+				t.Fatalf("%s: bit %d: miss not counted as corrupt", kind, bit)
+			}
+		}
+		if hits > 0 {
+			t.Errorf("%s: %d of %d single-bit flips still read as hits", kind, hits, 8*len(orig))
+		}
 	}
+}
+
+// FuzzStoreDiskEntry writes arbitrary bytes at a valid key's result and
+// aggregate paths: Get must never panic, and a hit is allowed only when
+// the bytes are exactly the file Put writes for the value served.
+func FuzzStoreDiskEntry(f *testing.F) {
+	key := testKey(0)
+	seed := f.TempDir()
+	s := mustOpen(f, seed)
+	s.Put(key, sampleResult())
+	s.PutAggregate(key, sampleAggregate())
+	for _, kind := range []string{"result", "aggregate"} {
+		b, err := os.ReadFile(filepath.Join(seed, key+"."+kind+".json"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		for _, kind := range []string{"result", "aggregate"} {
+			if err := os.WriteFile(filepath.Join(dir, key+"."+kind+".json"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := mustOpen(t, dir)
+		back := t.TempDir()
+		rewrite := mustOpen(t, back)
+		if r, ok := s.Get(key); ok {
+			rewrite.Put(key, r)
+		}
+		if a, ok := s.GetAggregate(key); ok {
+			rewrite.PutAggregate(key, a)
+		}
+		for _, kind := range []string{"result", "aggregate"} {
+			if b, err := os.ReadFile(filepath.Join(back, key+"."+kind+".json")); err == nil && !bytes.Equal(b, data) {
+				t.Errorf("%s hit on bytes Put would not write:\n got %q\nwant %q", kind, data, b)
+			}
+		}
+	})
 }
 
 func TestConcurrentAccess(t *testing.T) {
@@ -227,6 +333,8 @@ func TestConcurrentAccess(t *testing.T) {
 						key := testKey(byte(i % 4))
 						s.Put(key, sampleResult())
 						s.Get(key)
+						s.PutAggregate(key, sampleAggregate())
+						s.GetAggregate(key)
 					}
 				}(w)
 			}
@@ -257,11 +365,7 @@ func TestDiskCacheDrivesGridExecution(t *testing.T) {
 	}
 	dir := filepath.Join(t.TempDir(), "cache")
 
-	open1, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := lg.Execute(lab.Options{Cache: open1, Keys: g.Keys()})
+	first, err := lg.Execute(lab.Options{Cache: mustOpen(t, dir), Keys: g.Keys()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +373,8 @@ func TestDiskCacheDrivesGridExecution(t *testing.T) {
 		t.Fatalf("cold cache served %d hits", first.CacheHits)
 	}
 
-	open2, err := Open(dir) // fresh memory layer; disk carries the state
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := lg.Execute(lab.Options{Cache: open2, Keys: g.Keys()})
+	// A fresh store: only the directory carries the state.
+	second, err := lg.Execute(lab.Options{Cache: mustOpen(t, dir), Keys: g.Keys()})
 	if err != nil {
 		t.Fatal(err)
 	}

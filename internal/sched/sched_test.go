@@ -29,7 +29,7 @@ func newHarness(t *testing.T, policy Policy, mutate func(*model.Params)) *testHa
 	if mutate != nil {
 		mutate(&p)
 	}
-	h := &testHarness{eng: sim.New(1)}
+	h := &testHarness{eng: sim.New()}
 	h.c = cluster.New(h.eng, p, policy.ClusterConfig())
 	policy.Attach(h.c)
 	h.policy = policy
@@ -382,7 +382,7 @@ func TestCachePiecesMergesSmallPieces(t *testing.T) {
 	p := model.PaperCalibrated()
 	p.Nodes = 2
 	p.CacheBytes = 6 * model.GB
-	eng := sim.New(1)
+	eng := sim.New()
 	c := cluster.New(eng, p, cluster.Config{Caching: true})
 	// A 5-event cached island inside a large uncached range.
 	c.Node(0).Cache.Insert(dataspace.Iv(500, 505), 0)

@@ -17,17 +17,13 @@
 // is lazy: a cancelled event leaves the heap when it reaches the top.
 package sim
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Engine drives a simulation. Create one with New, schedule callbacks with
 // At or After, and call Run or RunUntil.
 type Engine struct {
 	now   float64
 	seq   uint64
-	rng   *rand.Rand
 	steps uint64
 	live  int    // scheduled, non-cancelled events (O(1) Pending)
 	free  *Event // free list of recycled events
@@ -64,17 +60,11 @@ func (e *Event) Cancel() {
 	}
 }
 
-// New returns an engine whose clock starts at zero, with a deterministic
-// random source derived from seed.
-func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
-}
+// New returns an engine whose clock starts at zero.
+func New() *Engine { return &Engine{} }
 
 // Now returns the current simulated time in seconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// Rand returns the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() uint64 { return e.steps }

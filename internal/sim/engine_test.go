@@ -8,7 +8,7 @@ import (
 )
 
 func TestEventsRunInTimeOrder(t *testing.T) {
-	e := New(1)
+	e := New()
 	var order []float64
 	times := []float64{5, 1, 3, 2, 4}
 	for _, tm := range times {
@@ -28,7 +28,7 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 }
 
 func TestSimultaneousEventsFIFO(t *testing.T) {
-	e := New(1)
+	e := New()
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -43,7 +43,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
-	e := New(1)
+	e := New()
 	ran := false
 	ev := e.At(1, func() { ran = true })
 	ev.Cancel()
@@ -55,7 +55,7 @@ func TestCancel(t *testing.T) {
 }
 
 func TestAfterAndNestedScheduling(t *testing.T) {
-	e := New(1)
+	e := New()
 	var hits []float64
 	e.After(10, func() {
 		hits = append(hits, e.Now())
@@ -68,7 +68,7 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
-	e := New(1)
+	e := New()
 	e.At(10, func() {
 		defer func() {
 			if recover() == nil {
@@ -81,7 +81,7 @@ func TestSchedulingInPastPanics(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	e := New(1)
+	e := New()
 	var ran []float64
 	for _, tm := range []float64{1, 2, 3, 4, 5} {
 		tm := tm
@@ -104,7 +104,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestRunUntilSkipsCancelledHead(t *testing.T) {
-	e := New(1)
+	e := New()
 	ev := e.At(1, func() { t.Error("cancelled event ran") })
 	ev.Cancel()
 	ok := false
@@ -117,13 +117,14 @@ func TestRunUntilSkipsCancelledHead(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []float64 {
-		e := New(seed)
+		e := New()
+		rng := rand.New(rand.NewSource(seed))
 		var out []float64
 		var tick func()
 		tick = func() {
 			out = append(out, e.Now())
 			if len(out) < 100 {
-				e.After(e.Rand().Float64()*10, tick)
+				e.After(rng.Float64()*10, tick)
 			}
 		}
 		e.After(0, tick)
@@ -155,7 +156,7 @@ func TestEventQueueMatchesReferenceModel(t *testing.T) {
 	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		e := New(seed)
+		e := New()
 		var model []ref // pending non-cancelled events, unordered
 		var got, want []int
 		handles := map[int]*Event{}
@@ -282,7 +283,7 @@ func TestEventQueueMatchesReferenceModel(t *testing.T) {
 }
 
 func TestSteps(t *testing.T) {
-	e := New(1)
+	e := New()
 	for i := 0; i < 5; i++ {
 		e.At(float64(i), func() {})
 	}
@@ -298,18 +299,19 @@ func TestSteps(t *testing.T) {
 // schedule mix, which internal/lab's BenchmarkSweepCell prices.
 func BenchmarkEngineHotLoop(b *testing.B) {
 	b.ReportAllocs()
-	e := New(1)
+	e := New()
+	rng := rand.New(rand.NewSource(1))
 	remaining := b.N
 	var tick func()
 	tick = func() {
 		if remaining > 0 {
 			remaining--
-			e.After(e.Rand().Float64(), tick)
+			e.After(rng.Float64(), tick)
 		}
 	}
 	for i := 0; i < 32 && remaining > 0; i++ {
 		remaining--
-		e.After(e.Rand().Float64(), tick)
+		e.After(rng.Float64(), tick)
 	}
 	b.ResetTimer()
 	e.Run()
@@ -325,9 +327,10 @@ func BenchmarkEngineHotLoop(b *testing.B) {
 // itself once per 48 extractions and the heap wins end to end. These
 // benchmarks are not in the bench gate.
 func BenchmarkEventQueue(b *testing.B) {
-	run := func(b *testing.B, far int, next func(e *Engine) float64) {
+	run := func(b *testing.B, far int, next func(rng *rand.Rand) float64) {
 		b.ReportAllocs()
-		e := New(1)
+		e := New()
+		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < far; i++ {
 			e.After(1e9+float64(i)*1e6, func() {})
 		}
@@ -336,29 +339,29 @@ func BenchmarkEventQueue(b *testing.B) {
 		tick = func() {
 			if remaining > 0 {
 				remaining--
-				e.After(next(e), tick)
+				e.After(next(rng), tick)
 			}
 		}
 		for i := 0; i < 256 && remaining > 0; i++ {
 			remaining--
-			e.After(next(e), tick)
+			e.After(next(rng), tick)
 		}
 		b.ResetTimer()
 		e.Run()
 	}
 	b.Run("monotone", func(b *testing.B) {
-		run(b, 0, func(e *Engine) float64 { return 1 })
+		run(b, 0, func(*rand.Rand) float64 { return 1 })
 	})
 	b.Run("uniform", func(b *testing.B) {
-		run(b, 0, func(e *Engine) float64 { return e.Rand().Float64() * 100 })
+		run(b, 0, func(rng *rand.Rand) float64 { return rng.Float64() * 100 })
 	})
 	b.Run("farfuture", func(b *testing.B) {
-		run(b, 32, func(e *Engine) float64 { return e.Rand().Float64() * 100 })
+		run(b, 32, func(rng *rand.Rand) float64 { return rng.Float64() * 100 })
 	})
 }
 
 func BenchmarkEngineThroughput(b *testing.B) {
-	e := New(1)
+	e := New()
 	var tick func()
 	n := 0
 	tick = func() {

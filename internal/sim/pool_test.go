@@ -9,7 +9,7 @@ import (
 // recycled Event objects carry fresh sequence numbers: simultaneous events
 // scheduled through recycled handles must still run in scheduling order.
 func TestEventPoolReuseKeepsFIFO(t *testing.T) {
-	e := New(1)
+	e := New()
 	for round := 0; round < 5; round++ {
 		at := e.Now() + 1
 		var order []int
@@ -44,10 +44,10 @@ func TestEventPoolIdenticalToFresh(t *testing.T) {
 		e.Run()
 		return out
 	}
-	warm := New(1)
+	warm := New()
 	trace(warm, 7) // populate the free list
 	got := trace(warm, 42)
-	base := trace(New(1), 42)
+	base := trace(New(), 42)
 	// The warm engine's clock is offset; compare inter-event gaps.
 	if len(got) != len(base) {
 		t.Fatalf("len %d vs %d", len(got), len(base))
@@ -62,7 +62,7 @@ func TestEventPoolIdenticalToFresh(t *testing.T) {
 }
 
 func TestPendingCountsCancellations(t *testing.T) {
-	e := New(1)
+	e := New()
 	evs := make([]*Event, 10)
 	for i := range evs {
 		evs[i] = e.At(float64(i+1), func() {})

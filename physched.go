@@ -180,10 +180,15 @@ func ParseGridSpec(r io.Reader) (GridSpec, error) { return spec.ParseGrid(r) }
 // cell already simulated under the same key.
 type ResultCache = lab.ResultCache
 
-// OpenResultCache opens the conventional cache stack: an in-process
-// memory layer over an on-disk store at dir, or memory only when dir is
-// empty.
-func OpenResultCache(dir string) (ResultCache, error) { return resultcache.Open(dir) }
+// OpenResultCache opens a result cache: in memory, backed by one
+// checksummed file per entry under dir, or memory only when dir is empty.
+func OpenResultCache(dir string) (ResultCache, error) {
+	s, err := resultcache.Open(dir)
+	if err != nil {
+		return nil, err // a nil interface, not a typed nil *Store
+	}
+	return s, nil
+}
 
 // Run executes one scenario to completion, panicking on an invalid
 // scenario.

@@ -1,6 +1,10 @@
 package physched
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // reducedParams shrinks the cluster so the facade tests run in
 // milliseconds while exercising the full public API surface.
@@ -82,5 +86,21 @@ func TestPaperPresets(t *testing.T) {
 	// Calibration must hit the paper's derived quantities.
 	if got := cal.MaxTheoreticalLoad(); got < 3.45 || got > 3.47 {
 		t.Errorf("MaxTheoreticalLoad = %v, want 3.46", got)
+	}
+}
+
+// TestOpenResultCacheErrorIsNil: a cache that cannot be opened comes back
+// as a nil interface, so a caller's `cache != nil` check holds.
+func TestOpenResultCacheErrorIsNil(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenResultCache(filepath.Join(file, "cache"))
+	if err == nil {
+		t.Fatal("opened a cache under a regular file")
+	}
+	if c != nil {
+		t.Errorf("error returned a non-nil cache %#v", c)
 	}
 }
