@@ -183,7 +183,8 @@ func (j *job) seal() {
 
 // endRecordLocked snapshots the terminal journal record.
 //
-//physched:locked j.mu — snapshots the guarded status fields atomically with the state transition
+// The caller holds j.mu, so the guarded status fields are snapshotted
+// atomically with the state transition.
 func (j *job) endRecordLocked() journalEnd {
 	return journalEnd{
 		Type: "end", State: string(j.state), Finished: j.finished,
@@ -362,7 +363,8 @@ func (s *server) startJob(meta journalMeta, p *plan) *job {
 	ctx, cancel := context.WithCancel(context.Background())
 	j.cancel = cancel
 	s.jobsWG.Add(1)
-	//physched:spawnok exits when run returns; cancel (DELETE /v1/jobs/{id} or drain expiry) stops run between cells, and jobsWG tracks it
+	// The goroutine exits when run returns; cancel (DELETE /v1/jobs/{id}
+	// or drain expiry) stops run between cells, and jobsWG tracks it.
 	go func() {
 		defer s.jobsWG.Done()
 		defer s.release()

@@ -37,7 +37,7 @@ func testServerWith(t *testing.T, cfg serverConfig) *httptest.Server {
 
 // mustServer builds a server over cfg, failing the test on a config
 // error (a state dir that cannot be created, a corrupt journal load).
-func mustServer(t *testing.T, cfg serverConfig) *server {
+func mustServer(t testing.TB, cfg serverConfig) *server {
 	t.Helper()
 	s, err := newServer(cfg)
 	if err != nil {

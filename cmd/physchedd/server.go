@@ -463,14 +463,9 @@ func (s *server) handleSpec(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	sp, err := spec.Parse(bytes.NewReader(body))
+	sp, hash, status, err := planSpec(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	hash, err := sp.Hash() // validates
-	if err != nil {
-		writeError(w, http.StatusUnprocessableEntity, err)
+		writeError(w, status, err)
 		return
 	}
 	if res, ok := s.cache.Get(hash); ok {
@@ -509,6 +504,20 @@ func (s *server) handleSpec(w http.ResponseWriter, r *http.Request) {
 	stored := res.Stored()
 	s.cache.Put(hash, stored)
 	writeJSON(w, http.StatusOK, specResponse{Hash: hash, Result: stored})
+}
+
+// planSpec parses and validates one spec request body, returning its
+// content hash, or the HTTP status and error to reject it with.
+func planSpec(body []byte) (spec.Spec, string, int, error) {
+	sp, err := spec.Parse(bytes.NewReader(body))
+	if err != nil {
+		return spec.Spec{}, "", http.StatusBadRequest, err
+	}
+	hash, err := sp.Hash() // validates
+	if err != nil {
+		return spec.Spec{}, "", http.StatusUnprocessableEntity, err
+	}
+	return sp, hash, 0, nil
 }
 
 // plan is a fully validated submission, ready to run: the content hash

@@ -1,19 +1,18 @@
 // Command physchedlint is the repo's multichecker: it runs the
-// internal/analysis suite — detrand, walltime, maporder, hotalloc,
-// wirecanon, physcheddirective, lockcheck, lockguard, spawncheck — over
-// the given package patterns and exits nonzero on any finding. CI runs
-// it over ./...; run it locally the same way:
+// internal/analysis determinism suite — detrand, walltime, maporder and
+// physcheddirective — over the given package patterns and exits nonzero
+// on any finding. CI runs it over ./...; run it locally the same way:
 //
 //	go run ./cmd/physchedlint ./...
 //
 // Each analyzer is scoped by analysis.Rules (determinism checks on the
-// sim-core packages, wire checks on spec/opt, lockguard on the
-// shared-state packages, annotation and concurrency checks everywhere);
-// see DESIGN.md §11–§12 for the contracts and the //physched:
-// annotation grammar. -analyzers=a,b bypasses the scoping and runs
-// exactly the named analyzers on every matched package.
+// sim-core packages, the clock and rand bans also on the service layer,
+// the annotation check everywhere); see DESIGN.md §11 for the contracts
+// and the //physched: annotation grammar. Concurrency and allocation
+// are gated by `go test -race`, the simtest harness and the CI bench
+// gate instead.
 //
-// Output formats (-format, with -json as shorthand for -format=json):
+// Output formats (-format):
 //
 //	text    one "file:line:col: analyzer: message" line per finding
 //	json    a JSON array of {file, line, column, analyzer, message}
@@ -45,11 +44,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("physchedlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	jsonFlag := fs.Bool("json", false, "shorthand for -format=json")
 	format := fs.String("format", "text", "output format: text, json, or github")
-	only := fs.String("analyzers", "", "comma-separated analyzer names to run unscoped (default: the Rules-scoped suite)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: physchedlint [-list] [-json | -format=text|json|github] [-analyzers=a,b] [packages]\n")
+		fmt.Fprintf(stderr, "usage: physchedlint [-list] [-format=text|json|github] [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -61,9 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *jsonFlag {
-		*format = "json"
-	}
 	switch *format {
 	case "text", "json", "github":
 	default:
@@ -74,17 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var diags []driver.Diagnostic
-	var err error
-	if *only != "" {
-		names := strings.Split(*only, ",")
-		for i := range names {
-			names[i] = strings.TrimSpace(names[i])
-		}
-		diags, err = analysis.LintWith(names, ".", patterns...)
-	} else {
-		diags, err = analysis.Lint(".", patterns...)
-	}
+	diags, err := analysis.Lint(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(stderr, "physchedlint: %v\n", err)
 		return 2

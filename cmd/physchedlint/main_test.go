@@ -10,7 +10,8 @@ import (
 
 // TestSabotagedFixtureExitsNonzero is the end-to-end contract of the
 // multichecker: a package violating the contracts makes it exit 1 and
-// print each finding.
+// print each finding. The fixture sits outside the determinism boundary,
+// so under Rules only its malformed directive is in scope.
 func TestSabotagedFixtureExitsNonzero(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"physched/internal/analysis/testdata/src/sabotage"}, &stdout, &stderr)
@@ -18,7 +19,7 @@ func TestSabotagedFixtureExitsNonzero(t *testing.T) {
 		t.Fatalf("exit code %d on sabotaged package, want 1\nstdout:\n%s\nstderr:\n%s",
 			code, stdout.String(), stderr.String())
 	}
-	for _, needle := range []string{"hotalloc", "physcheddirective", "sabotage.go"} {
+	for _, needle := range []string{"physcheddirective", "sabotage.go"} {
 		if !strings.Contains(stdout.String(), needle) {
 			t.Errorf("findings do not mention %q:\n%s", needle, stdout.String())
 		}
@@ -34,45 +35,21 @@ func TestListFlag(t *testing.T) {
 	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list exit code %d, stderr: %s", code, stderr.String())
 	}
-	for _, name := range []string{"detrand", "walltime", "maporder", "hotalloc", "wirecanon", "physcheddirective", "lockcheck", "lockguard", "spawncheck"} {
-		if !strings.Contains(stdout.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, stdout.String())
-		}
+	var names []string
+	for _, line := range strings.Split(strings.TrimSpace(stdout.String()), "\n") {
+		names = append(names, strings.Fields(line)[0])
+	}
+	want := []string{"detrand", "walltime", "maporder", "physcheddirective"}
+	if strings.Join(names, " ") != strings.Join(want, " ") {
+		t.Errorf("-list names = %v, want %v", names, want)
 	}
 }
 
-// TestAnalyzersFlagRunsUnscoped: -analyzers bypasses Rules scoping, so
-// lockguard (normally limited to the shared-state packages) must catch
-// the sabotageguard fixture and exit 1 through the real CLI.
-func TestAnalyzersFlagRunsUnscoped(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-analyzers", "lockguard", "physched/internal/analysis/testdata/src/sabotageguard"}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("exit code %d on sabotaged guard package, want 1\nstdout:\n%s\nstderr:\n%s",
-			code, stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "lockguard") || !strings.Contains(stdout.String(), "counter.n is guarded by counter.mu") {
-		t.Errorf("lockguard finding missing from output:\n%s", stdout.String())
-	}
-}
-
-// TestAnalyzersFlagRejectsUnknownName: a typo in -analyzers is a usage
-// error (exit 2), never a silently empty suite that passes everything.
-func TestAnalyzersFlagRejectsUnknownName(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-analyzers", "lockchekc", "./..."}, &stdout, &stderr); code != 2 {
-		t.Fatalf("exit code %d for unknown analyzer name, want 2\nstderr: %s", code, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "unknown analyzer") {
-		t.Errorf("stderr does not name the bad analyzer: %q", stderr.String())
-	}
-}
-
-// TestJSONOutput: -json emits a machine-readable array with snake_case
-// keys, still exiting 1 on findings.
+// TestJSONOutput: -format=json emits a machine-readable array with
+// snake_case keys, still exiting 1 on findings.
 func TestJSONOutput(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	code := run([]string{"-json", "physched/internal/analysis/testdata/src/sabotage"}, &stdout, &stderr)
+	code := run([]string{"-format", "json", "physched/internal/analysis/testdata/src/sabotage"}, &stdout, &stderr)
 	if code != 1 {
 		t.Fatalf("exit code %d, want 1\nstderr: %s", code, stderr.String())
 	}
@@ -109,10 +86,8 @@ func TestJSONOutput(t *testing.T) {
 			t.Errorf("finding missing fields: %+v", f)
 		}
 	}
-	for _, want := range []string{"lockcheck", "spawncheck", "hotalloc"} {
-		if !seen[want] {
-			t.Errorf("JSON output missing %s finding:\n%s", want, stdout.String())
-		}
+	if !seen["physcheddirective"] {
+		t.Errorf("JSON output missing the physcheddirective finding:\n%s", stdout.String())
 	}
 }
 
@@ -129,7 +104,7 @@ func TestGitHubFormat(t *testing.T) {
 			t.Errorf("not a github annotation: %q", line)
 		}
 	}
-	if !strings.Contains(stdout.String(), "line=") || !strings.Contains(stdout.String(), "::lockcheck:") {
+	if !strings.Contains(stdout.String(), "line=") || !strings.Contains(stdout.String(), "::physcheddirective:") {
 		t.Errorf("annotations missing line numbers or analyzer prefix:\n%s", stdout.String())
 	}
 }

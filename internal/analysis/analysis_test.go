@@ -17,12 +17,7 @@ func TestFixtures(t *testing.T) {
 		{DetRand, "detrand"},
 		{WallTime, "walltime"},
 		{MapOrder, "maporder"},
-		{HotAlloc, "hotalloc"},
-		{WireCanon, "wirecanon"},
 		{Directive, "directive"},
-		{LockCheck, "lockcheck"},
-		{LockGuard, "lockguard"},
-		{SpawnCheck, "spawncheck"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
@@ -52,34 +47,47 @@ func TestRepoIsLintClean(t *testing.T) {
 	}
 }
 
-// TestSabotagedPackageFails proves the suite actually bites: the
-// sabotage fixture must produce findings from the hotalloc,
-// physcheddirective, lockcheck and spawncheck analyzers under the same
-// Rules scoping CI uses. (lockguard is Rules-scoped to the shared-state
-// packages; its sabotage fixture is exercised through the CLI's
-// -analyzers flag in cmd/physchedlint's tests.)
-func TestSabotagedPackageFails(t *testing.T) {
-	diags, err := Lint(".", "./testdata/src/sabotage")
+// asSimCore scopes every package as if it sat in the sim core, where
+// Rules registers the whole suite. Fixtures live outside the determinism
+// boundary, so plain Rules would run only the directive check on them.
+func asSimCore(*driver.Package) []*driver.Analyzer {
+	return Rules(&driver.Package{PkgPath: "physched/internal/sim"})
+}
+
+// lintFixture runs the suite over one fixture package, scoped as sim
+// core.
+func lintFixture(t *testing.T, fixture string, opts ...driver.RunOption) []driver.Diagnostic {
+	t.Helper()
+	pkgs, err := driver.Load(".", "./testdata/src/"+fixture)
 	if err != nil {
-		t.Fatalf("lint: %v", err)
+		t.Fatalf("load %s: %v", fixture, err)
 	}
-	if len(diags) == 0 {
-		t.Fatal("sabotaged package produced no findings")
+	diags, err := driver.Run(pkgs, asSimCore, opts...)
+	if err != nil {
+		t.Fatalf("run %s: %v", fixture, err)
 	}
+	return diags
+}
+
+// TestSabotagedPackageFails proves the suite actually bites: the
+// sabotage fixture must produce a finding from every analyzer Rules
+// registers for a sim-core package.
+func TestSabotagedPackageFails(t *testing.T) {
+	diags := lintFixture(t, "sabotage")
 	seen := map[string]bool{}
 	for _, d := range diags {
 		seen[d.Analyzer] = true
 	}
-	for _, want := range []string{"hotalloc", "physcheddirective", "lockcheck", "spawncheck"} {
-		if !seen[want] {
-			t.Errorf("no finding from %s on the sabotaged package; got %v", want, diags)
+	for _, a := range Analyzers() {
+		if !seen[a.Name] {
+			t.Errorf("no finding from %s on the sabotaged package; got %v", a.Name, diags)
 		}
 	}
 }
 
-// TestRulesScoping pins the analyzer-to-package wiring: determinism
-// analyzers cover the sim core, wire checks cover spec/opt, and the
-// annotation/hot-path checks run everywhere.
+// TestRulesScoping pins the analyzer-to-package wiring: the sim core
+// runs the whole suite, the service layer only its clock and rand
+// discipline, and the annotation check runs everywhere.
 func TestRulesScoping(t *testing.T) {
 	names := func(pkgPath string) map[string]bool {
 		out := map[string]bool{}
@@ -89,24 +97,10 @@ func TestRulesScoping(t *testing.T) {
 		return out
 	}
 	sim := names("physched/internal/sim")
-	for _, want := range []string{"detrand", "walltime", "maporder", "hotalloc", "physcheddirective", "lockcheck", "spawncheck"} {
-		if !sim[want] {
-			t.Errorf("internal/sim missing analyzer %s", want)
+	for _, a := range Analyzers() {
+		if !sim[a.Name] {
+			t.Errorf("internal/sim missing analyzer %s", a.Name)
 		}
-	}
-	if sim["wirecanon"] {
-		t.Error("internal/sim should not run wirecanon")
-	}
-	if sim["lockguard"] {
-		t.Error("internal/sim is not a lockguard package: guard inference is scoped to the shared-state stores")
-	}
-	lab := names("physched/internal/lab")
-	if !lab["lockguard"] || !lab["lockcheck"] || !lab["spawncheck"] {
-		t.Error("internal/lab (the pool) must run all three concurrency analyzers")
-	}
-	spec := names("physched/internal/spec")
-	if !spec["wirecanon"] {
-		t.Error("internal/spec must run wirecanon")
 	}
 	daemon := names("physched/cmd/physchedd")
 	if !daemon["walltime"] || !daemon["detrand"] {
@@ -118,6 +112,9 @@ func TestRulesScoping(t *testing.T) {
 	lint := names("physched/internal/analysis")
 	if lint["walltime"] || lint["detrand"] || lint["maporder"] {
 		t.Error("the linter itself is outside the determinism boundary")
+	}
+	if !lint["physcheddirective"] {
+		t.Error("the directive grammar is checked in every package")
 	}
 	if !IsDeterministic("physched") || !IsDeterministic("physched/internal/lab") {
 		t.Error("root facade and lab are inside the determinism boundary")

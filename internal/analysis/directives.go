@@ -1,6 +1,6 @@
 // Package analysis is physchedlint: repo-specific static analyzers that
-// make this repo's determinism and hot-path contracts compile-time
-// checkable instead of golden-file-discovered. See DESIGN.md §11 for the
+// make this repo's determinism contract compile-time checkable instead
+// of golden-file-discovered. See DESIGN.md §11 for the
 // invariant each analyzer guards and the annotation grammar.
 package analysis
 
@@ -16,33 +16,16 @@ import (
 // The //physched: annotation grammar. Annotations are real, checked
 // syntax: the directive analyzer rejects unknown verbs, missing reasons
 // and misplaced annotations, so a typo cannot silently disable a check.
+// Each verb suppresses one finding and must say why:
 //
-//	//physched:hotpath                      (func doc) zero-alloc contract, enforced by hotalloc
 //	//physched:orderinvariant <reason>      (range stmt) map iteration deliberately unordered
-//	//physched:allocok <reason>             (stmt in hotpath func) deliberate allocation
 //	//physched:walltime <reason>            (stmt) deliberate wall-clock read at a wiring site
-//	//physched:locked <mutex> [why]         (func doc) caller holds <mutex>; seeds lockcheck
-//	//physched:lockok <reason>              (stmt) suppresses one lockcheck finding
-//	//physched:unguarded <reason>           (stmt) suppresses one lockguard finding
-//	//physched:spawnok <reason>             (go stmt) goroutine termination argued in prose
 const directivePrefix = "//physched:"
 
-// directiveSpec describes one verb: whether its free-text reason is
-// mandatory and which analyzer consumes it (for the doc listing).
-type directiveSpec struct {
-	needsReason bool
-	doc         string
-}
-
-var directiveSpecs = map[string]directiveSpec{
-	"hotpath":        {false, "marks a function whose steady state must not allocate (checked by hotalloc)"},
-	"orderinvariant": {true, "suppresses maporder on a map range whose body is order-insensitive"},
-	"allocok":        {true, "suppresses hotalloc on one statement of a hotpath function"},
-	"walltime":       {true, "suppresses walltime on one deliberate wall-clock wiring site"},
-	"locked":         {true, "declares the mutex a caller must hold around this function (seeds and is enforced by lockcheck)"},
-	"lockok":         {true, "suppresses lockcheck on one statement"},
-	"unguarded":      {true, "suppresses lockguard on one deliberately lock-free access"},
-	"spawnok":        {true, "suppresses spawncheck on one go statement whose termination is argued in the reason"},
+// directiveSpecs maps each verb to the analyzer it suppresses.
+var directiveSpecs = map[string]string{
+	"orderinvariant": "maporder",
+	"walltime":       "walltime",
 }
 
 // knownVerbs returns the grammar's verbs, sorted, for diagnostics.
@@ -117,9 +100,7 @@ func newSuppressions(pass *driver.Pass) suppressions {
 	s := suppressions{fset: pass.Fset, m: map[suppKey]bool{}}
 	if pass.NoSuppress {
 		// Audit mode: pretend no suppression comments exist, so every
-		// suppressed finding resurfaces. //physched:hotpath and
-		// //physched:locked are NOT suppressions — they assert facts the
-		// analyses build on — and stay in force via their own parsers.
+		// suppressed finding resurfaces.
 		return s
 	}
 	for _, f := range pass.Files {
@@ -141,31 +122,6 @@ func (s suppressions) allows(pos token.Pos, verb string) bool {
 	return s.m[suppKey{p.Filename, p.Line, verb}]
 }
 
-// hotpathFuncs returns the function declarations annotated
-// //physched:hotpath, keyed by decl. The directive must sit in the
-// function's doc comment group (or on the line directly above the func
-// keyword, which the parser normally folds into the doc anyway).
-func hotpathFuncs(pass *driver.Pass) map[*ast.FuncDecl]bool {
-	out := map[*ast.FuncDecl]bool{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			if fd.Doc == nil {
-				continue
-			}
-			for _, c := range fd.Doc.List {
-				if strings.HasPrefix(c.Text, directivePrefix+"hotpath") {
-					out[fd] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
 // Directive validates the annotation grammar itself: unknown verbs,
 // missing mandatory reasons, and annotations detached from the syntax
 // they claim to describe are all lint errors. This is what makes the
@@ -178,20 +134,18 @@ var Directive = &driver.Analyzer{
 }
 
 func runDirective(pass *driver.Pass) error {
-	hot := hotpathFuncs(pass)
 	for _, f := range pass.Files {
 		ds := parseDirectives(pass.Fset, f)
 		if len(ds) == 0 {
 			continue
 		}
-		anchors := directiveAnchors(pass, f, hot)
+		anchors := directiveAnchors(pass, f)
 		for _, d := range ds {
 			if d.unknown {
 				pass.Reportf(d.pos, "unknown //physched: directive %q (known: %s)", d.verb, knownVerbs())
 				continue
 			}
-			spec := directiveSpecs[d.verb]
-			if spec.needsReason && d.reason == "" {
+			if d.reason == "" {
 				pass.Reportf(d.pos, "//physched:%s needs a reason: //physched:%s <why this is safe>", d.verb, d.verb)
 			}
 			if ok := anchors.placed(d); !ok {
@@ -203,59 +157,27 @@ func runDirective(pass *driver.Pass) error {
 }
 
 func placementRule(verb string) string {
-	switch verb {
-	case "hotpath":
-		return "must be part of a function declaration's doc comment"
-	case "orderinvariant":
+	if verb == "orderinvariant" {
 		return "must sit on or directly above a range statement"
-	case "allocok":
-		return "must sit on or directly above a statement inside a //physched:hotpath function"
-	case "walltime":
-		return "must sit on or directly above a statement inside a function body"
-	case "locked":
-		return "must be part of a function declaration's doc comment"
-	case "lockok", "unguarded":
-		return "must sit on or directly above a statement inside a function body"
-	case "spawnok":
-		return "must sit on or directly above a go statement"
-	default:
-		return "unknown placement"
 	}
+	return "must sit on or directly above a statement inside a function body"
 }
 
 // anchorIndex records which source lines hold the syntax each directive
 // verb must attach to.
 type anchorIndex struct {
-	docLines     map[int]bool // lines inside FuncDecl doc comments
-	rangeLines   map[int]bool // lines where a RangeStmt starts
-	stmtLines    map[int]bool // lines where any statement starts
-	hotpathLines map[int]bool // statement lines inside hotpath funcs
-	goLines      map[int]bool // lines where a GoStmt starts
+	rangeLines map[int]bool // lines where a RangeStmt starts
+	stmtLines  map[int]bool // lines where any statement starts
 }
 
-func directiveAnchors(pass *driver.Pass, f *ast.File, hot map[*ast.FuncDecl]bool) anchorIndex {
-	ai := anchorIndex{
-		docLines:     map[int]bool{},
-		rangeLines:   map[int]bool{},
-		stmtLines:    map[int]bool{},
-		hotpathLines: map[int]bool{},
-		goLines:      map[int]bool{},
-	}
+func directiveAnchors(pass *driver.Pass, f *ast.File) anchorIndex {
+	ai := anchorIndex{rangeLines: map[int]bool{}, stmtLines: map[int]bool{}}
 	line := func(p token.Pos) int { return pass.Fset.Position(p).Line }
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
+		if !ok || fd.Body == nil {
 			continue
 		}
-		if fd.Doc != nil {
-			for l := line(fd.Doc.Pos()); l <= line(fd.Doc.End()); l++ {
-				ai.docLines[l] = true
-			}
-		}
-		if fd.Body == nil {
-			continue
-		}
-		inHot := hot[fd]
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			st, ok := n.(ast.Stmt)
 			if !ok {
@@ -263,14 +185,8 @@ func directiveAnchors(pass *driver.Pass, f *ast.File, hot map[*ast.FuncDecl]bool
 			}
 			l := line(st.Pos())
 			ai.stmtLines[l] = true
-			if inHot {
-				ai.hotpathLines[l] = true
-			}
 			if _, ok := st.(*ast.RangeStmt); ok {
 				ai.rangeLines[l] = true
-			}
-			if _, ok := st.(*ast.GoStmt); ok {
-				ai.goLines[l] = true
 			}
 			return true
 		})
@@ -281,21 +197,9 @@ func directiveAnchors(pass *driver.Pass, f *ast.File, hot map[*ast.FuncDecl]bool
 // placed reports whether directive d sits at a line its verb may anchor
 // to: its own line (trailing comment) or the next line (comment above).
 func (ai anchorIndex) placed(d directive) bool {
-	at := func(m map[int]bool) bool { return m[d.line] || m[d.line+1] }
-	switch d.verb {
-	case "hotpath":
-		return ai.docLines[d.line]
-	case "orderinvariant":
-		return at(ai.rangeLines)
-	case "allocok":
-		return at(ai.hotpathLines)
-	case "walltime", "lockok", "unguarded":
-		return at(ai.stmtLines)
-	case "locked":
-		return ai.docLines[d.line]
-	case "spawnok":
-		return at(ai.goLines)
-	default:
-		return false
+	lines := ai.stmtLines
+	if d.verb == "orderinvariant" {
+		lines = ai.rangeLines
 	}
+	return lines[d.line] || lines[d.line+1]
 }

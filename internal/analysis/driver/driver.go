@@ -30,21 +30,16 @@ type Analyzer struct {
 
 // Pass hands one type-checked package to one analyzer.
 type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	// PkgPath is the package's import path. For module packages it equals
-	// Pkg.Path(); kept separate so analyzers never depend on go/types
-	// path normalisation.
-	PkgPath   string
+	Analyzer  *Analyzer
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
 	TypesInfo *types.Info
 
 	// NoSuppress asks analyzers to ignore in-source suppression comments
 	// and report everything. It exists for the suppression-staleness
 	// audit (a suppression that hides nothing in NoSuppress mode is dead
-	// weight); semantic annotations that change analysis facts — rather
-	// than hide findings — stay honored.
+	// weight).
 	NoSuppress bool
 
 	report func(Diagnostic)
@@ -100,7 +95,6 @@ func Run(pkgs []*Package, selectAnalyzers func(*Package) []*Analyzer, opts ...Ru
 				Fset:       pkg.Fset,
 				Files:      pkg.Files,
 				Pkg:        pkg.Types,
-				PkgPath:    pkg.PkgPath,
 				TypesInfo:  pkg.Info,
 				NoSuppress: ro.noSuppress,
 				report:     func(d Diagnostic) { out = append(out, d) },

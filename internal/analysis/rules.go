@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"strings"
 
 	"physched/internal/analysis/driver"
@@ -48,12 +47,6 @@ var walltimeExtra = []string{
 	"physched/internal/obs",
 }
 
-// wirePackages hold the canonical, content-hashed wire structs.
-var wirePackages = []string{
-	"physched/internal/spec",
-	"physched/internal/opt",
-}
-
 // randBanExtra extends the global-rand ban beyond deterministic packages:
 // service cmds must not draw from the shared source either (job IDs use
 // crypto/rand; scenario randomness comes from seeded streams).
@@ -78,35 +71,17 @@ func IsDeterministic(pkgPath string) bool {
 	return pkgPath == "physched" || matchesAny(pkgPath, detPackages)
 }
 
-// lockguardPackages scope the guard-inference race detector to the
-// shared mutable state the serial≡parallel contract depends on: the
-// worker pool, job/study stores, result cache, traces and the
-// policy/model registries. Guard inference is a heuristic; keeping it
-// off one-shot cmd wiring code keeps its findings high-signal.
-var lockguardPackages = []string{
-	"physched/internal/lab",
-	"physched/internal/resultcache",
-	"physched/internal/trace",
-	"physched/internal/sched",
-	"physched/internal/workload",
-	"physched/internal/obs",
-	"physched/cmd/physchedd",
-}
-
 // Analyzers lists the whole suite, for documentation and fixture tests.
 func Analyzers() []*driver.Analyzer {
-	return []*driver.Analyzer{DetRand, WallTime, MapOrder, HotAlloc, WireCanon, Directive, LockCheck, LockGuard, SpawnCheck}
+	return []*driver.Analyzer{DetRand, WallTime, MapOrder, Directive}
 }
 
 // Rules decides which analyzers run on which package — the multichecker
-// configuration. Directive, HotAlloc and the flow-sensitive concurrency
-// analyzers run everywhere (lock bugs and leaked goroutines are bugs in
-// any package, and all cost nothing where the constructs are absent);
-// the determinism analyzers are scoped to the packages whose contract
-// they enforce, and lockguard to the shared-state packages it was tuned
-// on.
+// configuration. Directive runs everywhere (a malformed annotation is a
+// bug in any package); the determinism analyzers are scoped to the
+// packages whose contract they enforce.
 func Rules(pkg *driver.Package) []*driver.Analyzer {
-	as := []*driver.Analyzer{Directive, HotAlloc, LockCheck, SpawnCheck}
+	as := []*driver.Analyzer{Directive}
 	det := IsDeterministic(pkg.PkgPath)
 	if det || matchesAny(pkg.PkgPath, randBanExtra) {
 		as = append(as, DetRand)
@@ -116,12 +91,6 @@ func Rules(pkg *driver.Package) []*driver.Analyzer {
 	}
 	if det {
 		as = append(as, MapOrder)
-	}
-	if matchesAny(pkg.PkgPath, wirePackages) {
-		as = append(as, WireCanon)
-	}
-	if matchesAny(pkg.PkgPath, lockguardPackages) {
-		as = append(as, LockGuard)
 	}
 	return as
 }
@@ -135,39 +104,4 @@ func Lint(dir string, patterns ...string) ([]driver.Diagnostic, error) {
 		return nil, err
 	}
 	return driver.Run(pkgs, Rules)
-}
-
-// LintUnsuppressed runs the rule-scoped suite with suppression comments
-// ignored: the delta against Lint is exactly the set of findings the
-// repo's //physched: suppressions are load-bearing for. The suppression
-// audit test uses it to make stale suppressions rot loudly.
-func LintUnsuppressed(dir string, patterns ...string) ([]driver.Diagnostic, error) {
-	pkgs, err := driver.Load(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return driver.Run(pkgs, Rules, driver.NoSuppress())
-}
-
-// LintWith runs only the named analyzers, unscoped, on every matched
-// package — the physchedlint -analyzers escape hatch for running a
-// scoped analyzer (e.g. lockguard) on a package outside its Rules list.
-func LintWith(names []string, dir string, patterns ...string) ([]driver.Diagnostic, error) {
-	byName := map[string]*driver.Analyzer{}
-	for _, a := range Analyzers() {
-		byName[a.Name] = a
-	}
-	var selected []*driver.Analyzer
-	for _, n := range names {
-		a, ok := byName[n]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (see physchedlint -list)", n)
-		}
-		selected = append(selected, a)
-	}
-	pkgs, err := driver.Load(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return driver.Run(pkgs, func(*driver.Package) []*driver.Analyzer { return selected })
 }

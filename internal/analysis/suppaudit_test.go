@@ -13,15 +13,14 @@ import (
 
 // suppressionVerbByAnalyzer maps each analyzer that honours in-source
 // suppressions to its directive verb. Analyzers absent here (detrand,
-// wirecanon, physcheddirective) have no escape hatch by design.
-var suppressionVerbByAnalyzer = map[string]string{
-	"hotalloc":   "allocok",
-	"walltime":   "walltime",
-	"maporder":   "orderinvariant",
-	"lockcheck":  "lockok",
-	"lockguard":  "unguarded",
-	"spawncheck": "spawnok",
-}
+// physcheddirective) have no escape hatch by design.
+var suppressionVerbByAnalyzer = func() map[string]string {
+	m := map[string]string{}
+	for verb, analyzer := range directiveSpecs {
+		m[analyzer] = verb
+	}
+	return m
+}()
 
 // TestSuppressionsAreLoadBearing audits every //physched: suppression in
 // the module, in both directions:
@@ -48,10 +47,6 @@ func TestSuppressionsAreLoadBearing(t *testing.T) {
 		t.Fatalf("run (NoSuppress): %v", err)
 	}
 
-	suppressionVerbs := map[string]bool{}
-	for _, v := range suppressionVerbByAnalyzer {
-		suppressionVerbs[v] = true
-	}
 	type site struct {
 		file string
 		line int
@@ -64,7 +59,7 @@ func TestSuppressionsAreLoadBearing(t *testing.T) {
 		}
 		for _, f := range pkg.Files {
 			for _, d := range parseDirectives(pkg.Fset, f) {
-				if suppressionVerbs[d.verb] {
+				if !d.unknown {
 					sites[site{pkg.Fset.Position(d.pos).Filename, d.line, d.verb}] = true
 				}
 			}
@@ -110,24 +105,17 @@ func TestSuppressionsAreLoadBearing(t *testing.T) {
 // finding per directive — proving each suppression verb actually wires
 // through its analyzer's report path.
 func TestSuppressedFixtureRegresses(t *testing.T) {
-	clean, err := Lint(".", "./testdata/src/suppressed")
-	if err != nil {
-		t.Fatalf("lint: %v", err)
-	}
-	for _, d := range clean {
+	for _, d := range lintFixture(t, "suppressed") {
 		t.Errorf("suppressed fixture should be clean with directives honoured: %s", d)
 	}
-	all, err := LintUnsuppressed(".", "./testdata/src/suppressed")
-	if err != nil {
-		t.Fatalf("lint (NoSuppress): %v", err)
-	}
+	all := lintFixture(t, "suppressed", driver.NoSuppress())
 	seen := map[string]bool{}
 	for _, d := range all {
 		seen[d.Analyzer] = true
 	}
-	for _, want := range []string{"lockcheck", "spawncheck", "hotalloc"} {
-		if !seen[want] {
-			t.Errorf("NoSuppress mode did not resurface a %s finding; got %v", want, all)
+	for analyzer := range suppressionVerbByAnalyzer {
+		if !seen[analyzer] {
+			t.Errorf("NoSuppress mode did not resurface a %s finding; got %v", analyzer, all)
 		}
 	}
 }
@@ -174,7 +162,7 @@ func TestStrippedFixtureRegressesFindings(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load stripped module: %v", err)
 	}
-	diags, err := driver.Run(pkgs, Rules)
+	diags, err := driver.Run(pkgs, asSimCore)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -182,9 +170,9 @@ func TestStrippedFixtureRegressesFindings(t *testing.T) {
 	for _, d := range diags {
 		seen[d.Analyzer] = true
 	}
-	for _, want := range []string{"lockcheck", "spawncheck", "hotalloc"} {
-		if !seen[want] {
-			t.Errorf("stripping suppressions did not resurface a %s finding; got %v", want, diags)
+	for analyzer := range suppressionVerbByAnalyzer {
+		if !seen[analyzer] {
+			t.Errorf("stripping suppressions did not resurface a %s finding; got %v", analyzer, diags)
 		}
 	}
 }

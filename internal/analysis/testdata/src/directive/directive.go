@@ -3,10 +3,16 @@
 // missing reasons and misplaced annotations are findings.
 package directive
 
-import "sort"
+import (
+	"sort"
+	"time"
+)
 
 //physched:frobnicate turbo mode // want "unknown //physched: directive \"frobnicate\""
 func unknownVerb() {}
+
+//physched:hotpath // want "unknown //physched: directive \"hotpath\""
+func retiredVerb() {}
 
 func missingReason(m map[string]int) []string {
 	var keys []string
@@ -24,36 +30,19 @@ func misplacedOrderInvariant() {
 	_ = x
 }
 
-//physched:hotpath
-func validHotpath(buf []int, x int) []int {
-	return append(buf, x)
+//physched:walltime not inside a function body // want "misplaced //physched:walltime"
+var start = time.Now()
+
+func bareWalltime() time.Time {
+	//physched:walltime // want "//physched:walltime needs a reason"
+	return time.Now()
 }
 
-func body() {
-	//physched:hotpath only valid in a func doc comment // want "misplaced //physched:hotpath"
-	x := 0
-	_ = x
-}
-
-//physched:hotpath
-func hotWithBareAllocok(buf []int) []int {
-	//physched:allocok // want "//physched:allocok needs a reason"
-	tmp := make([]int, 0)
-	_ = tmp
-	return buf
-}
-
-func validSuppressions(m map[string]int) int {
+func validSuppressions(m map[string]int) (int, time.Time) {
 	n := 0
 	//physched:orderinvariant counting iterations is order-free
 	for range m {
 		n++
 	}
-	return n
-}
-
-func misplacedAllocok() {
-	//physched:allocok not inside a hotpath function // want "misplaced //physched:allocok"
-	y := make([]int, 0)
-	_ = y
+	return n, time.Now() //physched:walltime the fixture's one wiring site
 }

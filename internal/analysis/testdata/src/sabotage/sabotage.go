@@ -1,45 +1,34 @@
-// Package sabotage deliberately violates contracts enforced on every
-// package (hotalloc, physcheddirective, lockcheck, spawncheck) so tests
-// can prove the multichecker exits nonzero end to end. It is never built
-// by ./... wildcards (testdata is wildcard-invisible) — only explicit
-// paths reach it.
+// Package sabotage deliberately violates each remaining physchedlint
+// contract (detrand, walltime, maporder, physcheddirective) so tests can
+// prove the multichecker exits nonzero end to end. It is never built by
+// ./... wildcards (testdata is wildcard-invisible) — only explicit paths
+// reach it.
 package sabotage
 
 import (
-	"fmt"
-	"sync"
+	"math/rand"
+	"time"
 )
 
 //physched:typo this directive verb does not exist
 func bad() {}
 
-// burn is an annotated hot path that allocates flagrantly.
-//
-//physched:hotpath
-func burn(xs []int) string {
-	out := ""
-	for _, x := range xs {
-		out = out + fmt.Sprint(x)
+// jitter draws from the shared math/rand source: detrand sabotage.
+func jitter() float64 {
+	return rand.Float64()
+}
+
+// stamp reads the wall clock inside the determinism boundary: walltime
+// sabotage.
+func stamp() time.Time {
+	return time.Now()
+}
+
+// keys returns map keys in iteration order: maporder sabotage.
+func keys(m map[string]int) []string {
+	var out []string
+	for k := range m {
+		out = append(out, k)
 	}
 	return out
-}
-
-// leak takes a lock it forgets on the error path: lockcheck sabotage.
-func leak(mu *sync.Mutex, fail bool) error {
-	mu.Lock()
-	if fail {
-		return fmt.Errorf("left mu locked")
-	}
-	mu.Unlock()
-	return nil
-}
-
-// orphan starts a goroutine that blocks forever with no cancellation
-// path: spawncheck sabotage.
-func orphan(ch chan int) {
-	go func() {
-		for {
-			ch <- 0
-		}
-	}()
 }

@@ -7,42 +7,22 @@
 // directive must resurface the finding.
 package suppressed
 
-import "sync"
+import "time"
 
-type guarded struct {
-	mu sync.Mutex
-	n  int
+// now reads the wall clock; the walltime directive is the only thing
+// keeping it quiet.
+func now() time.Time {
+	//physched:walltime fixture: clock read hidden on purpose for the audit test
+	return time.Now()
 }
 
-// earlyReturn leaks the lock on the conditional path; the lockok
-// directive is the only thing keeping it quiet.
-func earlyReturn(g *guarded, bail bool) {
-	g.mu.Lock()
-	if bail {
-		//physched:lockok fixture: leak hidden on purpose for the audit test
-		return
+// total sums floats in iteration order; the orderinvariant directive
+// is the only thing keeping it quiet.
+func total(m map[string]float64) float64 {
+	var sum float64
+	//physched:orderinvariant fixture: rounding order hidden on purpose for the audit test
+	for _, v := range m {
+		sum += v
 	}
-	g.mu.Unlock()
-}
-
-// spawn starts a goroutine that blocks forever on an unbuffered send.
-func spawn(ch chan int) {
-	//physched:spawnok fixture: goroutine lifetime owned by the audit test
-	go func() {
-		for {
-			ch <- 0
-		}
-	}()
-}
-
-// hot grows a slice inside a hot-path loop.
-//
-//physched:hotpath
-func hot(xs []int) []int {
-	var out []int
-	for _, x := range xs {
-		//physched:allocok fixture: growth accepted for the audit test
-		out = append(out, x)
-	}
-	return out
+	return sum
 }

@@ -107,8 +107,6 @@ func (c *LRU) cachedFirstRunFrom(iv dataspace.Interval, hint int) (dataspace.Int
 // eviction policy if needed. Parts of iv already cached are refreshed
 // (treated as used now). If iv exceeds the whole capacity, only its tail
 // (the most recently streamed events) is kept.
-//
-//physched:hotpath
 func (c *LRU) Insert(iv dataspace.Interval, now float64) {
 	if c.capacity == 0 || iv.Empty() {
 		return
@@ -149,8 +147,6 @@ func (c *LRU) Insert(iv dataspace.Interval, now float64) {
 
 // Touch marks the cached parts of iv as used at time now, refreshing their
 // LRU position.
-//
-//physched:hotpath
 func (c *LRU) Touch(iv dataspace.Interval, now float64) {
 	if iv.Empty() {
 		return

@@ -363,15 +363,11 @@ func (c *Cluster) releaseRunning(r *Running) {
 
 // Dispatch starts subjob sj on idle node n. It panics if n is busy or the
 // subjob is empty — both indicate a policy bug.
-//
-//physched:hotpath
 func (c *Cluster) Dispatch(n *Node, sj *job.Subjob) {
 	if !n.up {
-		//physched:allocok panic path: reached only on a policy bug, never in steady state
 		panic(fmt.Sprintf("cluster: dispatch on down node %d", n.ID))
 	}
 	if !n.Idle() {
-		//physched:allocok panic path: reached only on a policy bug, never in steady state
 		panic(fmt.Sprintf("cluster: dispatch on busy node %d", n.ID))
 	}
 	if sj.Range.Empty() {

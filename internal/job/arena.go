@@ -23,8 +23,6 @@ type Arena struct {
 
 // NewJob allocates a zeroed Job. The caller assigns its fields (including
 // the workload-assigned ID, which is independent of the arena index).
-//
-//physched:hotpath
 func (a *Arena) NewJob() *Job {
 	if n := len(a.jobs); n == 0 || len(a.jobs[n-1]) == cap(a.jobs[n-1]) {
 		a.jobs = append(a.jobs, make([]Job, 0, arenaChunk))
@@ -43,15 +41,11 @@ func (a *Arena) NumJobs() int {
 }
 
 // JobAt returns the i-th allocated job.
-//
-//physched:hotpath
 func (a *Arena) JobAt(i int) *Job { return &a.jobs[i/arenaChunk][i%arenaChunk] }
 
 // NewSubjob allocates a subjob of j covering r, coming from origin's
 // queue (-1 for the global no-cached-data queue). Flag fields start
 // false; set them on the returned subjob.
-//
-//physched:hotpath
 func (a *Arena) NewSubjob(j *Job, r dataspace.Interval, origin int) *Subjob {
 	sj := a.allocSubjob()
 	sj.Job = j
@@ -62,8 +56,6 @@ func (a *Arena) NewSubjob(j *Job, r dataspace.Interval, origin int) *Subjob {
 
 // CloneSubjob allocates a subjob inheriting sj's job, flags and origin
 // but covering r — the shape of every preemption/split/crash remainder.
-//
-//physched:hotpath
 func (a *Arena) CloneSubjob(sj *Subjob, r dataspace.Interval) *Subjob {
 	out := a.allocSubjob()
 	out.Job = sj.Job
@@ -74,7 +66,6 @@ func (a *Arena) CloneSubjob(sj *Subjob, r dataspace.Interval) *Subjob {
 	return out
 }
 
-//physched:hotpath
 func (a *Arena) allocSubjob() *Subjob {
 	id := a.NumSubjobs()
 	if n := len(a.subs); n == 0 || len(a.subs[n-1]) == cap(a.subs[n-1]) {

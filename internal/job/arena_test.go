@@ -78,3 +78,17 @@ func TestArenaJobsAddressStable(t *testing.T) {
 // TestArenaResetReusesStorage verifies Reset invalidates the run's
 // objects without giving back the first chunks, and that allocation
 // starts over with dense IDs.
+
+// TestJobAtDoesNotAllocate pins the arena lookup at zero allocations.
+// No gated benchmark calls JobAt, so this is its only allocation check.
+func TestJobAtDoesNotAllocate(t *testing.T) {
+	var a Arena
+	for i := 0; i < 3*arenaChunk; i++ {
+		a.NewJob()
+	}
+	var sink *Job
+	if n := testing.AllocsPerRun(1000, func() { sink = a.JobAt(2*arenaChunk + 1) }); n != 0 {
+		t.Errorf("JobAt allocates %.1f per call, want 0", n)
+	}
+	_ = sink
+}

@@ -102,7 +102,7 @@ func NewPool(workers int) *Pool {
 	p.cond = sync.NewCond(&p.mu)
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		//physched:spawnok workers exit when Close sets the closed flag and broadcasts; Close joins them via wg.Wait
+		// Workers exit when Close sets the closed flag and broadcasts; Close joins them via wg.Wait.
 		go p.worker()
 	}
 	return p
@@ -196,8 +196,6 @@ func (p *Pool) worker() {
 // runHooked runs one task bracketed by timing observations. It sits on
 // the worker hot path — one call per simulated cell — so it must not
 // allocate: the hook closures are shared, not built per task.
-//
-//physched:hotpath
 func runHooked(task func(int), i int, enqueuedNs int64, h *PoolHooks) {
 	start := h.Now()
 	h.Wait(start - enqueuedNs)
@@ -208,7 +206,7 @@ func runHooked(task func(int), i int, enqueuedNs int64, h *PoolHooks) {
 // take pops the next task, round-robin across active submissions, and
 // drops exhausted submissions from the rotation.
 //
-//physched:locked p.mu — take mutates the shared rotation state
+// The caller holds p.mu: take mutates the shared rotation state.
 func (p *Pool) take() (*submission, int) {
 	for len(p.subs) > 0 {
 		if p.next >= len(p.subs) {
@@ -234,7 +232,7 @@ func (p *Pool) take() (*submission, int) {
 
 // remove takes sub out of the rotation.
 //
-//physched:locked p.mu — remove rewrites the shared subs slice
+// The caller holds p.mu: remove rewrites the shared subs slice.
 func (p *Pool) remove(sub *submission) {
 	for i, s := range p.subs {
 		if s == sub {
@@ -246,7 +244,7 @@ func (p *Pool) remove(sub *submission) {
 
 // finishIfDone closes sub.done when no tasks remain pending or running.
 //
-//physched:locked p.mu — the doneClosed/inflight check must be atomic with the rotation
+// The caller holds p.mu: the doneClosed/inflight check must be atomic with the rotation.
 func (p *Pool) finishIfDone(sub *submission) {
 	if sub.inflight == 0 && (sub.cancelled || sub.nextIdx >= sub.n) && !sub.doneClosed {
 		sub.doneClosed = true

@@ -50,11 +50,6 @@ type Scenario struct {
 	// DelayIncluded reports waiting times including the scheduling delay
 	// (Figure 7 reports the adaptive policy this way).
 	DelayIncluded bool
-	// KeepJobResults retains the full per-job result log on the
-	// collector (Collector.Results). All reported aggregates are
-	// computed streaming; only set this when individual job records are
-	// needed, as it costs memory proportional to the measured job count.
-	KeepJobResults bool
 
 	// Workload, when non-nil, replaces the synthetic generator — e.g. a
 	// workload.Replay of a recorded or production job trace. The Load
@@ -209,7 +204,6 @@ func RunE(s Scenario) (Result, error) {
 
 	coll := metrics.NewCollector(s.Params, s.WarmupJobs, s.MeasureJobs)
 	coll.DelayIncluded = s.DelayIncluded
-	coll.KeepResults = s.KeepJobResults
 	cl.JobDone = coll.JobFinished
 	cl.SubjobDone = policy.SubjobDone
 	admit := policy.JobArrived

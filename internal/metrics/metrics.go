@@ -11,36 +11,11 @@ import (
 	"physched/internal/stats"
 )
 
-// JobResult records the lifecycle of one measured job.
-type JobResult struct {
-	ID          int64
-	Events      int64
-	Arrival     float64
-	ScheduledAt float64
-	FirstStart  float64
-	End         float64
-
-	// Waiting is first dispatch minus ScheduledAt — the paper's waiting
-	// time, with the delayed policy's period delay already excluded.
-	Waiting float64
-	// WaitingWithDelay is first dispatch minus Arrival (Figure 7 reports
-	// the adaptive policy delay-included).
-	WaitingWithDelay float64
-	// Processing is the time from first dispatch to job end, including
-	// periods where subjobs were suspended.
-	Processing float64
-	// Speedup is the single-job single-node no-cache processing time of
-	// this job divided by Processing (§3.4).
-	Speedup float64
-}
-
 // Collector accumulates job statistics after a warm-up prefix. It is
 // streaming: every aggregate the lab reports (means, max, quantiles, the
 // divergence trend inputs, the waiting histogram) is maintained in fixed
 // accumulators or compact per-job float columns, so a run costs O(1)
-// memory per job. The full []JobResult log is only retained when
-// KeepResults is set (Scenario.KeepJobResults), for tests and studies that
-// inspect individual jobs.
+// memory per job.
 type Collector struct {
 	params model.Params
 
@@ -49,15 +24,13 @@ type Collector struct {
 	WarmupJobs int
 	// MeasureJobs caps the number of measured results; zero means no cap.
 	MeasureJobs int
-	// DelayIncluded selects WaitingWithDelay as the reported waiting time.
+	// DelayIncluded reports waiting from arrival (the scheduling delay
+	// included) instead of from ScheduledAt.
 	DelayIncluded bool
-	// KeepResults retains the full per-job result log (Results).
-	KeepResults bool
 
 	arrived  int64
 	finished int64
 	count    int // measured jobs
-	measured []JobResult
 
 	// Per-job columns for the trend and quantile queries; presized to the
 	// measurement cap.
@@ -92,8 +65,6 @@ func NewCollector(p model.Params, warmupJobs, measureJobs int) *Collector {
 func (c *Collector) JobArrived(*job.Job) { c.arrived++ }
 
 // JobFinished records a completed job.
-//
-//physched:hotpath
 func (c *Collector) JobFinished(j *job.Job) {
 	c.finished++
 	if j.ID < int64(c.WarmupJobs) {
@@ -114,20 +85,6 @@ func (c *Collector) JobFinished(j *job.Job) {
 	c.arrivals = append(c.arrivals, j.Arrival)
 	c.waitExcl = append(c.waitExcl, waiting)
 	c.waitIncl = append(c.waitIncl, waitingWithDelay)
-	if c.KeepResults {
-		c.measured = append(c.measured, JobResult{
-			ID:               j.ID,
-			Events:           j.Events(),
-			Arrival:          j.Arrival,
-			ScheduledAt:      j.ScheduledAt,
-			FirstStart:       j.FirstStart,
-			End:              j.EndTime,
-			Waiting:          waiting,
-			WaitingWithDelay: waitingWithDelay,
-			Processing:       processing,
-			Speedup:          speedup,
-		})
-	}
 	w := waiting
 	if c.DelayIncluded {
 		w = waitingWithDelay
@@ -152,10 +109,6 @@ func (c *Collector) Finished() int64 { return c.finished }
 
 // MeasuredCount returns the number of measured jobs.
 func (c *Collector) MeasuredCount() int { return c.count }
-
-// Results returns the measured job results. It is empty unless KeepResults
-// was set before the run.
-func (c *Collector) Results() []JobResult { return c.measured }
 
 // Arrivals returns the arrival times of the measured jobs, in measurement
 // order. The slice is the collector's storage: read-only.

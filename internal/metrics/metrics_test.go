@@ -19,14 +19,16 @@ func testJob(id int64, arrival, start, end float64, events int64) *job.Job {
 
 func TestCollectorSkipsWarmup(t *testing.T) {
 	c := NewCollector(model.PaperCalibrated(), 2, 0)
-	c.KeepResults = true
 	for i := int64(0); i < 5; i++ {
-		j := testJob(i, 0, 10, 100, 1000)
+		j := testJob(i, float64(i), 10, 100, 1000)
 		c.JobArrived(j)
 		c.JobFinished(j)
 	}
-	if got := len(c.Results()); got != 3 {
+	if got := c.MeasuredCount(); got != 3 {
 		t.Errorf("measured %d jobs, want 3 (2 warmup skipped)", got)
+	}
+	if got := c.Arrivals(); len(got) != 3 || got[0] != 2 || got[2] != 4 {
+		t.Errorf("measured arrivals %v, want those of jobs 2..4", got)
 	}
 	if c.Arrived() != 5 || c.Finished() != 5 {
 		t.Errorf("Arrived=%d Finished=%d", c.Arrived(), c.Finished())
@@ -35,13 +37,13 @@ func TestCollectorSkipsWarmup(t *testing.T) {
 
 func TestCollectorMeasurementWindowByID(t *testing.T) {
 	c := NewCollector(model.PaperCalibrated(), 1, 2)
-	c.KeepResults = true
-	// Finish out of order: IDs 3 (beyond window), 2, 1, 0 (warmup).
+	// Finish out of order: IDs 3 (beyond window), 2, 1, 0 (warmup). Each
+	// job arrives at its ID, so Arrivals names the measured jobs.
 	for _, id := range []int64{3, 2, 1, 0} {
-		c.JobFinished(testJob(id, 0, 10, 100, 1000))
+		c.JobFinished(testJob(id, float64(id), 10, 100, 1000))
 	}
-	if got := len(c.Results()); got != 2 {
-		t.Fatalf("measured %d jobs, want exactly IDs 1 and 2", got)
+	if got := c.Arrivals(); c.MeasuredCount() != 2 || len(got) != 2 || got[0] != 2 || got[1] != 1 {
+		t.Fatalf("measured %d jobs with arrivals %v, want exactly IDs 2 then 1", c.MeasuredCount(), got)
 	}
 	if !c.Done() {
 		t.Error("Done should be true once the window is filled")
@@ -51,17 +53,18 @@ func TestCollectorMeasurementWindowByID(t *testing.T) {
 func TestWaitingAndSpeedup(t *testing.T) {
 	p := model.PaperCalibrated()
 	c := NewCollector(p, 0, 0)
-	c.KeepResults = true
 	// 1000 events, started 50s after arrival, processed in 500s.
 	j := testJob(0, 100, 150, 650, 1000)
 	c.JobFinished(j)
-	r := c.Results()[0]
-	if r.Waiting != 50 {
-		t.Errorf("Waiting = %v, want 50", r.Waiting)
+	if got := c.ReportedWaitings(); len(got) != 1 || got[0] != 50 {
+		t.Errorf("ReportedWaitings = %v, want [50]", got)
 	}
 	wantSpeedup := 1000 * p.EventTimeTape() / 500
-	if math.Abs(r.Speedup-wantSpeedup) > 1e-9 {
-		t.Errorf("Speedup = %v, want %v", r.Speedup, wantSpeedup)
+	if math.Abs(c.AvgSpeedup()-wantSpeedup) > 1e-9 {
+		t.Errorf("AvgSpeedup = %v, want %v", c.AvgSpeedup(), wantSpeedup)
+	}
+	if c.AvgProcessing() != 500 {
+		t.Errorf("AvgProcessing = %v, want 500", c.AvgProcessing())
 	}
 	if c.AvgWaiting() != 50 || c.MaxWaiting() != 50 {
 		t.Errorf("Avg/Max waiting = %v/%v", c.AvgWaiting(), c.MaxWaiting())
@@ -74,17 +77,16 @@ func TestDelayExcludedVsIncluded(t *testing.T) {
 	j.ScheduledAt = 300 // delayed scheduling: batched at t=300
 
 	excl := NewCollector(p, 0, 0)
-	excl.KeepResults = true
 	excl.JobFinished(j)
-	if got := excl.Results()[0].Waiting; got != 100 {
-		t.Errorf("delay-excluded waiting = %v, want 100", got)
+	if got := excl.ReportedWaitings()[0]; got != 100 || excl.AvgWaiting() != 100 {
+		t.Errorf("delay-excluded waiting = %v (avg %v), want 100", got, excl.AvgWaiting())
 	}
 
 	incl := NewCollector(p, 0, 0)
 	incl.DelayIncluded = true
 	incl.JobFinished(j)
-	if got := incl.AvgWaiting(); got != 300 {
-		t.Errorf("delay-included waiting = %v, want 300", got)
+	if got := incl.ReportedWaitings()[0]; got != 300 || incl.AvgWaiting() != 300 {
+		t.Errorf("delay-included waiting = %v (avg %v), want 300", got, incl.AvgWaiting())
 	}
 }
 
@@ -120,8 +122,7 @@ func TestWaitingQuantileAndHistogram(t *testing.T) {
 
 // BenchmarkCollector measures the streaming per-job cost of the collector
 // — the path every simulated job completion pays. It must stay
-// allocation-free: the columns are presized to the measurement cap and
-// KeepResults defaults to off.
+// allocation-free: the columns are presized to the measurement cap.
 func BenchmarkCollector(b *testing.B) {
 	p := model.PaperCalibrated()
 	c := NewCollector(p, 0, b.N)

@@ -40,8 +40,6 @@ func NewHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value.
-//
-//physched:hotpath
 func (h *Histogram) Observe(v float64) {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {

@@ -33,7 +33,6 @@ func (d *ringDeque[T]) grow() {
 	d.head = 0
 }
 
-//physched:hotpath
 func (d *ringDeque[T]) PushBack(v T) {
 	if d.n == len(d.buf) {
 		d.grow()
@@ -51,7 +50,6 @@ func (d *ringDeque[T]) PushFront(v T) {
 	d.n++
 }
 
-//physched:hotpath
 func (d *ringDeque[T]) PopFront() T {
 	if d.n == 0 {
 		panic("sched: PopFront on empty deque")

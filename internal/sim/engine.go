@@ -100,11 +100,8 @@ func (e *Engine) AfterCall(d float64, fn func(any), arg any) *Event {
 
 // acquire takes a recycled (or new) Event and stamps it with time t and
 // the next sequence number.
-//
-//physched:hotpath
 func (e *Engine) acquire(t float64) *Event {
 	if t < e.now {
-		//physched:allocok panic path: scheduling in the past is a caller bug, never steady state
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
 	ev := e.free
@@ -113,7 +110,7 @@ func (e *Engine) acquire(t float64) *Event {
 		ev.next = nil
 		ev.cancelled = false
 	} else {
-		ev = &Event{eng: e} //physched:allocok pool miss: warm-up allocation, recycled for the rest of the run
+		ev = &Event{eng: e} // pool miss: warm-up allocation, recycled for the rest of the run
 	}
 	ev.time = t
 	ev.seq = e.seq
@@ -127,8 +124,6 @@ func (e *Engine) acquire(t float64) *Event {
 // references are dropped immediately so closures are not retained; the
 // cancelled flag is left untouched until reuse, keeping Cancelled()
 // meaningful on handles that were cancelled and later collected.
-//
-//physched:hotpath
 func (e *Engine) release(ev *Event) {
 	ev.fn = nil
 	ev.fnArg = nil
@@ -143,8 +138,6 @@ func (e *Engine) Pending() int { return e.live }
 
 // head returns the next event in (time, seq) order without consuming it,
 // releasing cancelled events it skips over; nil when nothing is pending.
-//
-//physched:hotpath
 func (e *Engine) head() *Event {
 	for len(e.queue) > 0 {
 		ev := e.queue[0]
@@ -159,8 +152,6 @@ func (e *Engine) head() *Event {
 }
 
 // Step executes the next event. It reports false when the queue is empty.
-//
-//physched:hotpath
 func (e *Engine) Step() bool {
 	ev := e.head()
 	if ev == nil {

@@ -14,8 +14,6 @@ func before(a, b *Event) bool {
 }
 
 // push adds ev to the heap.
-//
-//physched:hotpath
 func (e *Engine) push(ev *Event) {
 	q := append(e.queue, ev)
 	i := len(q) - 1
@@ -33,8 +31,6 @@ func (e *Engine) push(ev *Event) {
 
 // pop removes the heap's top event, which the caller has already read as
 // e.queue[0]. The heap must not be empty.
-//
-//physched:hotpath
 func (e *Engine) pop() {
 	q := e.queue
 	n := len(q) - 1

@@ -7,6 +7,8 @@
 //   - Job conservation: every job reported finished completed exactly
 //     once, with all of its events processed — work lost to node
 //     failures was re-executed, never dropped and never double-counted.
+//   - Job lifecycle order: a finished job started no earlier than it was
+//     scheduled, and ended no earlier than it started.
 //   - Simulation-time monotonicity: observed event times never go
 //     backwards.
 //   - Cache-capacity bounds: no node cache ever exceeds its capacity.
@@ -148,6 +150,15 @@ func (ck *Checker) jobDone(j *job.Job) {
 	}
 	if j.EndTime+timeSlack < j.Arrival {
 		ck.violate("job %d ends at %v before its arrival %v", j.ID, j.EndTime, j.Arrival)
+	}
+	if !j.Started {
+		ck.violate("job %d done without ever starting", j.ID)
+	}
+	if j.FirstStart+timeSlack < j.ScheduledAt {
+		ck.violate("job %d first starts at %v before it was scheduled at %v", j.ID, j.FirstStart, j.ScheduledAt)
+	}
+	if j.EndTime+timeSlack < j.FirstStart {
+		ck.violate("job %d ends at %v before its first start %v", j.ID, j.EndTime, j.FirstStart)
 	}
 }
 
