@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var updateTuneGolden = flag.Bool("update", false, "rewrite the tune leaderboard golden file")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // TestTuneHalvingBeatsRandomAtEqualBudget is the autotuner acceptance
 // test on the pinned tune scenario: both drivers spend exactly the study
@@ -43,7 +43,7 @@ func TestTuneHalvingBeatsRandomAtEqualBudget(t *testing.T) {
 	// and the rendered values must not drift silently.
 	golden := filepath.Join("testdata", "tune_leaderboard.golden")
 	got := h.Render()
-	if *updateTuneGolden {
+	if *updateGolden {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
