@@ -2,10 +2,10 @@
 // the single source of truth for its wire format: cmd/physchedd builds
 // its responses from the exported types below (the daemon aliases them),
 // so the structs a caller decodes into are — by construction, not by
-// convention — the structs the server encodes from. The CLIs use this
-// package themselves (physchedsim -server, cmd/physchedsmoke), which
-// keeps the API surface honest: an endpoint the client cannot drive is
-// an endpoint that does not really exist.
+// convention — the structs the server encodes from. The command-line
+// tools use this package themselves (`physchedsim -server`,
+// cmd/physchedsmoke), which keeps the API surface honest: an endpoint
+// the client cannot drive is an endpoint that does not really exist.
 //
 // Field names are the pinned snake_case wire format (golden-tested in
 // cmd/physchedd); changing a tag here is a wire-format change and must

@@ -4,7 +4,7 @@
 // single arbiter that bounds what runs at once — streams NDJSON progress
 // while a grid runs, and serves previously computed results from a
 // content-addressed cache (internal/resultcache) by spec hash. The same
-// spec file that drives `physchedsim -spec` can be POSTed here unchanged.
+// spec file that drives `physchedsim FILE` can be POSTed here unchanged.
 //
 // Every request shares the pool: -parallel bounds the total number of
 // simulation cells in flight across all requests, cells from concurrent

@@ -1,9 +1,9 @@
 // Specfile: drive a scenario grid from a versioned, declarative JSON spec
 // — the serialisable scenario format of this repository. The embedded
-// grid.json is the exact format `physchedsim -spec`, `experiments -spec`
-// and the physchedd service accept; this program parses it, prints its
-// content hash, executes it twice against a result cache, and shows the
-// second pass serving every cell from the cache without re-simulating.
+// grid.json is the exact format `physchedsim grid.json` and the physchedd
+// service accept; this program parses it, prints its content hash,
+// executes it twice against a result cache, and shows the second pass
+// serving every cell from the cache without re-simulating.
 package main
 
 import (

@@ -116,10 +116,10 @@ func TestRulesScoping(t *testing.T) {
 	if !lint["physcheddirective"] {
 		t.Error("the directive grammar is checked in every package")
 	}
-	if !IsDeterministic("physched") || !IsDeterministic("physched/internal/lab") {
+	if !isDeterministic("physched") || !isDeterministic("physched/internal/lab") {
 		t.Error("root facade and lab are inside the determinism boundary")
 	}
-	if IsDeterministic("physched/internal/analysis/testdata/src/detrand") {
+	if isDeterministic("physched/internal/analysis/testdata/src/detrand") {
 		t.Error("fixture packages must not match the boundary by prefix")
 	}
 }

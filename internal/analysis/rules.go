@@ -63,11 +63,11 @@ func matchesAny(pkgPath string, prefixes []string) bool {
 	return false
 }
 
-// IsDeterministic reports whether pkgPath is inside the determinism
-// boundary (exported for the physchedlint -why listing and tests). The
-// root facade package is matched exactly — a bare "physched" prefix
-// would swallow the whole module, including this linter.
-func IsDeterministic(pkgPath string) bool {
+// isDeterministic reports whether pkgPath is inside the determinism
+// boundary. The root facade package is matched exactly — a bare
+// "physched" prefix would swallow the whole module, including this
+// linter.
+func isDeterministic(pkgPath string) bool {
 	return pkgPath == "physched" || matchesAny(pkgPath, detPackages)
 }
 
@@ -82,7 +82,7 @@ func Analyzers() []*driver.Analyzer {
 // packages whose contract they enforce.
 func Rules(pkg *driver.Package) []*driver.Analyzer {
 	as := []*driver.Analyzer{Directive}
-	det := IsDeterministic(pkg.PkgPath)
+	det := isDeterministic(pkg.PkgPath)
 	if det || matchesAny(pkg.PkgPath, randBanExtra) {
 		as = append(as, DetRand)
 	}

@@ -10,9 +10,10 @@
 // Every recipe executes through an internal/lab grid; Configure installs
 // the execution options (shared lab.Pool or per-call worker bound,
 // cancellation context, progress hook) that all recipes share —
-// cmd/experiments wires one process-wide pool plus its -parallel,
+// `physchedsim -fig` wires one process-wide pool plus its -parallel,
 // -timeout and -progress flags through it, so concurrent recipes cannot
-// oversubscribe the host.
+// oversubscribe the host. Render runs one recipe by its id and renders
+// it; AllFigureIDs lists the ids.
 package experiments
 
 import (
@@ -377,15 +378,4 @@ func stripeLabel(stripe int64) string {
 		return fmt.Sprintf("%dK events", stripe/1000)
 	}
 	return fmt.Sprintf("%d events", stripe)
-}
-
-// AllFigureIDs lists the experiment identifiers understood by
-// cmd/experiments: the paper's figures and tables first, then the ablation
-// studies of DESIGN.md §4.
-func AllFigureIDs() []string {
-	return []string{
-		"fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "rep", "max", "farm",
-		"ab-eviction", "ab-steal", "ab-replication", "ab-hotspot", "nodes",
-		"pipeline", "baselines", "hetero", "daynight", "faults", "tune",
-	}
 }

@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // TestFiguresQuickGolden renders every experiment at Quick quality and
 // seed 1 — text with plots, and CSV where the recipe has one — and pins
@@ -17,13 +20,13 @@ import (
 func TestFiguresQuickGolden(t *testing.T) {
 	var b strings.Builder
 	for _, id := range AllFigureIDs() {
-		text, csv, err := renderForGolden(id)
+		out, err := Render(id, Quick, 1, true)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		fmt.Fprintf(&b, "=== %s\n%s\n", id, text)
-		if csv != "" {
-			fmt.Fprintf(&b, "--- %s.csv\n%s", id, csv)
+		fmt.Fprintf(&b, "=== %s\n%s\n", id, out.Text)
+		if out.CSV != "" {
+			fmt.Fprintf(&b, "--- %s.csv\n%s", id, out.CSV)
 		}
 	}
 	checkTextGolden(t, "figures_quick.golden", b.String())
@@ -46,69 +49,4 @@ func checkTextGolden(t *testing.T, name, got string) {
 	if got != string(want) {
 		t.Errorf("%s drifted from its golden file:\n--- got ---\n%s--- want ---\n%s(run with -update to regenerate)", name, got, want)
 	}
-}
-
-// renderForGolden renders one experiment the way the command-line tool
-// prints it: the figure recipes as table plus plots, with CSV rows.
-func renderForGolden(id string) (text, csv string, err error) {
-	const q, seed = Quick, int64(1)
-	switch id {
-	case "fig2", "fig3", "fig5", "fig6", "fig7":
-		var f Figure
-		switch id {
-		case "fig2":
-			f = Fig2(q, seed)
-		case "fig3":
-			f = Fig3(q, seed)
-		case "fig5":
-			f = Fig5(q, seed)
-		case "fig6":
-			f = Fig6(q, seed)
-		case "fig7":
-			f = Fig7(q, seed)
-		}
-		return f.Table() + "\n" + f.Plots() + "\n", f.CSV(), nil
-	case "fig4":
-		return RenderDistributions(Fig4(q, seed)), "", nil
-	case "rep":
-		return RenderReplication(Replication(q, seed)), "", nil
-	case "max":
-		return RenderMaxLoad(MaxLoad(q, seed)), "", nil
-	case "farm":
-		return RenderFarm(FarmVsMErM(q, seed)), "", nil
-	case "ab-eviction":
-		return RenderAblation("Ablation: LRU vs FIFO cache eviction (out-of-order policy)",
-			AblationEviction(q, seed)), "", nil
-	case "ab-steal":
-		return RenderAblation("Ablation: stolen subjobs read remotely vs re-read from tape",
-			AblationStealSource(q, seed)), "", nil
-	case "ab-replication":
-		return RenderAblation("Ablation: replication threshold (remote accesses before replicating)",
-			AblationReplicationThreshold(q, seed)), "", nil
-	case "ab-hotspot":
-		return RenderAblation("Ablation: workload hot-region weight", AblationHotspot(q, seed)), "", nil
-	case "nodes":
-		return RenderNodeCount(NodeCountStudy(q, seed)), "", nil
-	case "pipeline":
-		return RenderAblation("Future work (§7): pipelining data transfers with computation",
-			FutureWorkPipelining(q, seed)), "", nil
-	case "baselines":
-		return RenderAblation("Baselines: static partitioning and affine farm vs the paper's dynamic policies",
-			BaselineComparison(q, seed)), "", nil
-	case "hetero":
-		return RenderAblation("Extension: heterogeneous node speeds (equal aggregate capacity)",
-			HeterogeneityStudy(q, seed)), "", nil
-	case "daynight":
-		return RenderAblation("Extension: day/night load cycle (inhomogeneous Poisson arrivals, equal mean load)",
-			DayNight(q, seed)), "", nil
-	case "faults":
-		return RenderFaults(FaultStudy(q, seed)), "", nil
-	case "tune":
-		tr, err := Tune(q, seed)
-		if err != nil {
-			return "", "", err
-		}
-		return RenderTune(tr), "", nil
-	}
-	return "", "", fmt.Errorf("unknown experiment %q", id)
 }

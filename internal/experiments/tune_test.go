@@ -1,14 +1,9 @@
 package experiments
 
 import (
-	"flag"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // TestTuneHalvingBeatsRandomAtEqualBudget is the autotuner acceptance
 // test on the pinned tune scenario: both drivers spend exactly the study
@@ -41,20 +36,7 @@ func TestTuneHalvingBeatsRandomAtEqualBudget(t *testing.T) {
 
 	// The halving leaderboard is golden-pinned: the winner, the ranking
 	// and the rendered values must not drift silently.
-	golden := filepath.Join("testdata", "tune_leaderboard.golden")
-	got := h.Render()
-	if *updateGolden {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run with -update to regenerate)", err)
-	}
-	if got != string(want) {
-		t.Errorf("tune leaderboard drifted from golden file:\n--- got ---\n%s--- want ---\n%s(run with -update to regenerate)", got, want)
-	}
+	checkTextGolden(t, "tune_leaderboard.golden", h.Render())
 
 	// The full rendering (both leaderboards + comparison plot) must
 	// include every moving part.

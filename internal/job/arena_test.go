@@ -75,10 +75,6 @@ func TestArenaJobsAddressStable(t *testing.T) {
 	}
 }
 
-// TestArenaResetReusesStorage verifies Reset invalidates the run's
-// objects without giving back the first chunks, and that allocation
-// starts over with dense IDs.
-
 // TestJobAtDoesNotAllocate pins the arena lookup at zero allocations.
 // No gated benchmark calls JobAt, so this is its only allocation check.
 func TestJobAtDoesNotAllocate(t *testing.T) {

@@ -230,14 +230,15 @@ func TestSeedsDisciplined(t *testing.T) {
 	}
 }
 
-// TestReplicateAggregates: replication through the grid matches direct
-// runs and carries confidence intervals.
+// TestReplicateAggregates: a grid's seed axis replicates the scenario,
+// and RunSet.Aggregate summarises the replicas with confidence intervals.
 func TestReplicateAggregates(t *testing.T) {
 	s := smallScenario(1)
-	agg, err := Replicate(s, Seeds(1, 4), Options{})
+	rs, err := Grid{Base: s, Seeds: Seeds(1, 4)}.Execute(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg := rs.Aggregate(0, 0)
 	if agg.Replicas != 4 || agg.Overloaded != 0 {
 		t.Fatalf("replicas=%d overloaded=%d", agg.Replicas, agg.Overloaded)
 	}
@@ -262,10 +263,11 @@ func TestReplicateCountsOverloads(t *testing.T) {
 	s := smallScenario(1)
 	s.NewPolicy = func() sched.Policy { return sched.NewFarm() }
 	s.Load = 2 * s.Params.FarmMaxLoad()
-	agg, err := Replicate(s, Seeds(9, 3), Options{})
+	rs, err := Grid{Base: s, Seeds: Seeds(9, 3)}.Execute(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg := rs.Aggregate(0, 0)
 	if agg.Overloaded != 3 {
 		t.Fatalf("Overloaded = %d, want 3 (farm at double its max)", agg.Overloaded)
 	}

@@ -109,23 +109,3 @@ func (a Aggregate) MeanResult() Result {
 	out.MeasuredJobs = jobs
 	return out
 }
-
-// Replicate runs the scenario once per seed on the worker pool and
-// aggregates. Use Seeds to derive a disciplined seed set from one base.
-// On cancellation the aggregate covers only the replicas that actually
-// ran — never-run cells are excluded rather than counted as zero-valued
-// steady runs — and the context error is returned alongside it.
-func Replicate(s Scenario, seeds []int64, opts Options) (Aggregate, error) {
-	rs, err := Grid{Base: s, Seeds: seeds}.Execute(opts)
-	results := rs.Results
-	if err != nil {
-		completed := results[:0:0]
-		for _, r := range results {
-			if r.PolicyName != "" {
-				completed = append(completed, r)
-			}
-		}
-		results = completed
-	}
-	return NewAggregate(results), err
-}

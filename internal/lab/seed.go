@@ -25,8 +25,8 @@ func DeriveSeed(base int64, coords ...int64) int64 {
 	return int64(x)
 }
 
-// Seeds returns n replication seeds derived from base — the seed axis for
-// Grid.Seeds and Replicate.
+// Seeds returns n replication seeds derived from base — a seed axis for
+// Grid.Seeds.
 func Seeds(base int64, n int) []int64 {
 	out := make([]int64, n)
 	for i := range out {

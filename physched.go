@@ -29,15 +29,14 @@
 // a spec into a Scenario, and the SHA-256 of a spec's canonical encoding
 // content-addresses its result for caching (OpenResultCache) and for the
 // cmd/physchedd HTTP service, which executes POSTed grid specs with
-// streamed NDJSON progress and serves cached results by hash. A spec
-// file drives `physchedsim -spec` and `experiments -spec` unchanged; see
-// examples/specfile. On top of the spec layer, a study (internal/opt)
-// searches the spec space under a simulation-cell budget — seeded random
-// search or CI-aware successive halving — via `physchedsim -study` or
-// POST /v1/studies.
+// streamed NDJSON progress and serves cached results by hash. A spec or
+// grid file drives `physchedsim FILE` unchanged; see examples/specfile.
+// On top of the spec layer, a study (internal/opt) searches the spec
+// space under a simulation-cell budget — seeded random search or CI-aware
+// successive halving — via `physchedsim study.json` or POST /v1/studies.
 //
 // The experiment recipes behind every figure of the paper live in
-// internal/experiments; the cmd/experiments binary renders them as tables,
+// internal/experiments; `physchedsim -fig ID|all` renders them as tables,
 // ASCII plots and CSV.
 package physched
 
