@@ -326,6 +326,10 @@ func (c cli) runGrid(opts lab.Options, in input) error {
 	if err != nil {
 		return err
 	}
+	if len(in.grid.Variants) == 0 {
+		// The base is the one curve: name it after its policy.
+		rs.Labels[0] = in.grid.Base.Policy.Name
+	}
 	fig := experiments.Figure{
 		ID:     "spec",
 		Title:  fmt.Sprintf("spec %s (hash %.12s…)", filepath.Base(in.path), hash),
@@ -336,10 +340,7 @@ func (c cli) runGrid(opts lab.Options, in input) error {
 	fmt.Println(out.Text)
 	for vi := 0; len(rs.Seeds) > 1 && vi < len(rs.Labels); vi++ {
 		for li, load := range rs.Loads {
-			if rs.Labels[vi] != "" {
-				fmt.Printf("%s, ", rs.Labels[vi])
-			}
-			fmt.Printf("load %.2f jobs/hour\n", load)
+			fmt.Printf("%s, load %.2f jobs/hour\n", rs.Labels[vi], load)
 			reportReplicas(rs.Aggregate(vi, li), rs.Result(vi, li, 0).Scenario.Params)
 			fmt.Println()
 		}

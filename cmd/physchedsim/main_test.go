@@ -232,6 +232,26 @@ func TestGridFileReportsReplicas(t *testing.T) {
 	}
 }
 
+// TestSeedsOnlyGridLabelsItsCurve: a grid without variants has one
+// curve, the base scenario; the table and every replica line name it
+// after the base policy instead of leaving the label blank.
+func TestSeedsOnlyGridLabelsItsCurve(t *testing.T) {
+	path := writeFile(t, "seeds.json", `{"base": `+smallSpec+`, "seeds": [1, 2]}`)
+	out, _, err := capture(t, func() error { return cli{}.run([]string{path}, nil) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "\n  outoforder\n") {
+		t.Errorf("the table does not name its curve outoforder:\n%s", out)
+	}
+	if !strings.Contains(out, "\noutoforder, load 1.00 jobs/hour\n") {
+		t.Errorf("the replica lines do not name their curve:\n%s", out)
+	}
+	if strings.Contains(out, "\n  \n") {
+		t.Errorf("a blank curve label is left:\n%s", out)
+	}
+}
+
 // TestSpecRunWritesTrace: `physchedsim -trace out.jsonl scenario.json`
 // records the run's event trace — the user-facing producer path for
 // internal/trace. The written JSONL must parse back and cover the whole

@@ -21,6 +21,7 @@ var detPackages = []string{
 	// Sim-core support packages: equally inside the determinism boundary.
 	"physched/internal/cache",
 	"physched/internal/dataspace",
+	"physched/internal/freelist",
 	"physched/internal/job",
 	"physched/internal/metrics",
 	"physched/internal/model",

@@ -11,7 +11,8 @@ import (
 // segments" and replicates a segment on its third remote access. Counts
 // are stored as disjoint sorted runs with uniform count.
 type CountMap struct {
-	runs []countRun
+	runs    []countRun
+	scratch []countRun // Increment's pending insertions, reused
 }
 
 type countRun struct {
@@ -31,7 +32,7 @@ func (m *CountMap) Increment(iv dataspace.Interval) int64 {
 	i := sort.Search(len(m.runs), func(i int) bool { return m.runs[i].iv.End > iv.Start })
 	minCount := int64(1 << 62)
 	pos := iv.Start
-	var insertions []countRun
+	insertions := m.scratch[:0]
 	for ; i < len(m.runs) && m.runs[i].iv.Start < iv.End; i++ {
 		r := &m.runs[i]
 		if pos < r.iv.Start {
@@ -55,6 +56,7 @@ func (m *CountMap) Increment(iv dataspace.Interval) int64 {
 	for _, ins := range insertions {
 		m.insert(ins)
 	}
+	m.scratch = insertions
 	return minCount
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"physched/internal/dataspace"
+	"physched/internal/freelist"
 )
 
 // EvictPolicy selects which cached segment to evict when space is needed.
@@ -33,6 +34,11 @@ const (
 // sorted segment directory carries the interval inline. Keeping the
 // directory pointer-free matters on the hot path — its memmoves need no
 // GC write barriers and its binary searches chase no pointers.
+//
+// The steady state spans runs too: Release hands the pool, directory,
+// cached set and gap scratch to a package-level free list when a run
+// ends, and NewLRU adopts a released set, so a sweep's later cells start
+// with storage already grown.
 type LRU struct {
 	capacity int64
 	used     int64
@@ -65,12 +71,44 @@ type segment struct {
 	prev, next int32 // recency list links (next also threads the free list)
 }
 
-// NewLRU returns a cache with the given capacity in events.
+// storage is the growable part of an LRU, recycled whole between runs.
+// Every slice is empty; the pool keeps its length, but no slot is read
+// before newSegment writes it in full.
+type storage struct {
+	pool []segment
+	segs []segRef
+	set  dataspace.Set
+	gaps []dataspace.Interval
+}
+
+// freeStorage holds the storage of released caches.
+var freeStorage freelist.List[storage]
+
+// NewLRU returns a cache with the given capacity in events. A cache that
+// can hold anything adopts released storage, if any is free.
 func NewLRU(capacityEvents int64, policy EvictPolicy) *LRU {
 	if capacityEvents < 0 {
 		panic("cache: negative capacity")
 	}
-	return &LRU{capacity: capacityEvents, policy: policy, head: noSeg, tail: noSeg, freeSeg: noSeg}
+	c := &LRU{capacity: capacityEvents, policy: policy, head: noSeg, tail: noSeg, freeSeg: noSeg}
+	if capacityEvents > 0 {
+		if st, ok := freeStorage.Get(); ok {
+			c.pool, c.segs, c.set, c.gapScratch = st.pool, st.segs, st.set, st.gaps
+		}
+	}
+	return c
+}
+
+// Release empties the cache and gives its storage back for reuse by
+// caches built later. Views obtained through Cached are invalid
+// afterwards. The cache stays usable, as an empty cache that grows
+// fresh storage.
+func (c *LRU) Release() {
+	if c.pool != nil {
+		c.set.Reset()
+		freeStorage.Put(storage{pool: c.pool, segs: c.segs[:0], set: c.set, gaps: c.gapScratch[:0]})
+	}
+	*c = LRU{capacity: c.capacity, policy: c.policy, head: noSeg, tail: noSeg, freeSeg: noSeg}
 }
 
 // Capacity returns the capacity in events.

@@ -142,3 +142,60 @@ func TestCachedPartMatchesInserts(t *testing.T) {
 		t.Errorf("CachedLen = %d, want 15", got)
 	}
 }
+
+// churnCache drives c through a seeded mix of inserts, touches and
+// clears, checking the invariants after each step, and returns the
+// cached set it ends with.
+func churnCache(t *testing.T, c *LRU, seed int64) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < 2_000; i++ {
+		start := rng.Int63n(20_000)
+		iv := dataspace.Iv(start, start+1+rng.Int63n(700))
+		switch rng.Intn(20) {
+		case 0:
+			c.Clear()
+		case 1, 2, 3, 4:
+			c.Touch(iv, float64(i))
+		default:
+			c.Insert(iv, float64(i))
+		}
+		c.checkInvariants()
+	}
+	return c.Cached().String()
+}
+
+// TestReleasedStorageBehavesFresh: a cache built on storage another cache
+// released behaves exactly like a cache built from nothing, and a
+// build-use-release cycle allocates only the LRU header once the storage
+// has grown.
+func TestReleasedStorageBehavesFresh(t *testing.T) {
+	fresh := &LRU{capacity: 4_000, policy: EvictLRU, head: noSeg, tail: noSeg, freeSeg: noSeg}
+	want := churnCache(t, fresh, 1)
+
+	old := NewLRU(4_000, EvictLRU)
+	churnCache(t, old, 2)
+	old.Release()
+	if old.Used() != 0 || !old.Cached().Empty() {
+		t.Fatal("a released cache still holds data")
+	}
+	reused := NewLRU(4_000, EvictLRU)
+	if reused.pool == nil {
+		t.Fatal("NewLRU did not adopt the released storage")
+	}
+	if got := churnCache(t, reused, 1); got != want {
+		t.Errorf("cache on recycled storage ended with %s, want %s", got, want)
+	}
+	reused.Release()
+
+	allocs := testing.AllocsPerRun(20, func() {
+		c := NewLRU(4_000, EvictLRU)
+		for i := int64(0); i < 50; i++ {
+			c.Insert(dataspace.Iv(i*300, i*300+200), float64(i))
+		}
+		c.Release()
+	})
+	if allocs > 1 {
+		t.Errorf("a build-use-release cycle allocates %.1f times, want 1 (the LRU itself)", allocs)
+	}
+}

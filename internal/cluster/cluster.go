@@ -251,6 +251,17 @@ func (c *Cluster) Stats() Stats { return c.stats }
 // for their own subjobs so one run shares one arena.
 func (c *Cluster) Arena() *job.Arena { return &c.arena }
 
+// ReleaseCaches ends the cluster's run for its node caches: they give
+// their storage back for reuse by later runs and are left empty. Only the
+// run's owner may call it, once nothing will read the caches again. The
+// subjob arena is released apart (Arena().Release()), because jobs the
+// run did not allocate can point into it.
+func (c *Cluster) ReleaseCaches() {
+	for _, n := range c.nodes {
+		n.Cache.Release()
+	}
+}
+
 // AppendIdle appends the currently idle nodes to dst, in node order.
 func (c *Cluster) AppendIdle(dst []*Node) []*Node {
 	for _, n := range c.nodes {
@@ -517,17 +528,15 @@ func (c *Cluster) RemainingEvents(n *Node) int64 {
 		return 0
 	}
 	r := n.run
-	var rem int64
-	for i := r.pieceIdx; i < len(r.pieces); i++ {
-		rem += r.pieces[i].Range.Len()
-	}
+	// The pieces tile the subjob's range, so those from pieceIdx on cover
+	// exactly [current piece start, subjob end).
 	p := r.pieces[r.pieceIdx]
 	elapsed := c.eng.Now() - r.pieceStart
 	k := int64(elapsed/p.PerEvent + 1e-9)
 	if k > p.Range.Len() {
 		k = p.Range.Len()
 	}
-	return rem - k
+	return r.Subjob.Range.End - p.Range.Start - k
 }
 
 // SplitRunning shrinks the subjob running on n so that tailEvents of its

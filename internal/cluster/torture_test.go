@@ -20,6 +20,7 @@ import (
 //   - remainder subjobs never overlap processed prefixes
 //   - cache occupancy never exceeds capacity
 //   - tape stream accounting stays balanced
+//   - RemainingEvents equals the sum over the unfinished pieces
 func TestTortureRandomOperations(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
@@ -137,6 +138,9 @@ func tortureRun(t *testing.T, cfg Config) {
 			if n.Cache.Used() > n.Cache.Capacity() {
 				t.Fatal("cache over capacity")
 			}
+			if got, want := c.RemainingEvents(n), pieceSumRemaining(c, n); got != want {
+				t.Fatalf("node %d: RemainingEvents = %d, piece sum = %d", n.ID, got, want)
+			}
 		}
 	}
 
@@ -182,3 +186,20 @@ func busyNodes(c *Cluster) []*Node {
 }
 
 func anyBusy(c *Cluster) bool { return len(busyNodes(c)) > 0 }
+
+// pieceSumRemaining is the reference RemainingEvents: it sums the
+// lengths of the running subjob's unfinished pieces and takes off the
+// events the current piece has processed so far.
+func pieceSumRemaining(c *Cluster, n *Node) int64 {
+	r := n.run
+	if r == nil {
+		return 0
+	}
+	var rem int64
+	for i := r.pieceIdx; i < len(r.pieces); i++ {
+		rem += r.pieces[i].Range.Len()
+	}
+	p := r.pieces[r.pieceIdx]
+	k := int64((c.eng.Now()-r.pieceStart)/p.PerEvent + 1e-9)
+	return rem - min(k, p.Range.Len())
+}

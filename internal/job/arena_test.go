@@ -1,6 +1,7 @@
 package job
 
 import (
+	"reflect"
 	"testing"
 
 	"physched/internal/dataspace"
@@ -87,4 +88,52 @@ func TestJobAtDoesNotAllocate(t *testing.T) {
 		t.Errorf("JobAt allocates %.1f per call, want 0", n)
 	}
 	_ = sink
+}
+
+// TestArenaReleaseRecycles: a released arena's chunks serve the next
+// arena, cleared, so a recycled object starts exactly like a fresh one,
+// and a fill-and-release cycle allocates nothing once chunks exist.
+func TestArenaReleaseRecycles(t *testing.T) {
+	var a Arena
+	var lastJob *Job
+	var lastSub *Subjob
+	for i := 0; i < 2*arenaChunk+3; i++ {
+		lastJob = a.NewJob()
+		lastJob.ID = int64(i)
+		lastJob.Finished = true
+		lastJob.Suspended = []*Subjob{{}}
+		lastSub = a.NewSubjob(lastJob, dataspace.Iv(0, 10), 2)
+		lastSub.Yielding = true
+	}
+	a.Release()
+	if a.NumJobs() != 0 || a.NumSubjobs() != 0 {
+		t.Fatal("a released arena still counts objects")
+	}
+
+	var b Arena
+	for i := 0; i < 2*arenaChunk+3; i++ {
+		j := b.NewJob()
+		if !reflect.DeepEqual(*j, Job{}) {
+			t.Fatalf("recycled job %d not cleared: %+v", i, *j)
+		}
+		sj := b.NewSubjob(j, dataspace.Iv(5, 6), -1)
+		if want := (Subjob{Job: j, Range: dataspace.Iv(5, 6), ID: int32(i), Origin: -1}); *sj != want {
+			t.Fatalf("recycled subjob %d = %+v, want %+v", i, *sj, want)
+		}
+	}
+	if b.JobAt(2*arenaChunk+2) != lastJob || b.SubjobAt(2*arenaChunk+2) != lastSub {
+		t.Error("the second arena did not reuse the released chunks")
+	}
+	b.Release()
+
+	allocs := testing.AllocsPerRun(20, func() {
+		var c Arena
+		for i := 0; i < 3*arenaChunk; i++ {
+			c.NewSubjob(c.NewJob(), dataspace.Iv(0, 1), -1)
+		}
+		c.Release()
+	})
+	if allocs != 0 {
+		t.Errorf("a fill-and-release cycle allocates %.1f times, want 0", allocs)
+	}
 }

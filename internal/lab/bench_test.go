@@ -14,12 +14,24 @@ import (
 // plus measurement window) on the small test cluster — the unit of work
 // every sweep, grid and replication fans out over.
 func BenchmarkRun(b *testing.B) {
-	b.ReportAllocs()
 	p := smallParams()
 	s := policyScenario(func() sched.Policy { return sched.NewOutOfOrder() }, 0.5*p.FarmMaxLoad())
+	benchRuns(b, s)
+}
+
+// benchRuns runs the cells once per op. One untimed round first fills the
+// recycled run storage (see RunE), so every timed op is a steady-state op
+// and allocs/op does not move with b.N.
+func benchRuns(b *testing.B, cells ...Scenario) {
+	for _, s := range cells {
+		Run(s)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Run(s)
+		for _, s := range cells {
+			Run(s)
+		}
 	}
 }
 
@@ -63,14 +75,10 @@ func BenchmarkPoolDispatchHooked(b *testing.B) {
 // the fault path — failure/repair events, subjob kills, requeues and
 // cache rebuilds — against the fault-free baseline snapshot.
 func BenchmarkRunFaults(b *testing.B) {
-	b.ReportAllocs()
 	p := smallParams()
 	s := policyScenario(func() sched.Policy { return sched.NewOutOfOrder() }, 0.5*p.FarmMaxLoad())
 	s.Faults = cluster.FaultModel{MTBFHours: 24, RepairHours: 2, CacheLoss: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Run(s)
-	}
+	benchRuns(b, s)
 }
 
 // BenchmarkSweepCell prices the cells of the perfbench sweep, the traffic
@@ -78,12 +86,15 @@ func BenchmarkRunFaults(b *testing.B) {
 // warm-up 30 and measure 100 jobs, at loads 0.8, 1.6 and 2.4 jobs/h,
 // each fault-free and under churn (MTBF 150 h with cache loss). One op
 // runs a policy's six cells of the sweep's first round at seed 1, so
-// ns/op is six times the policy's mean cell time. The policies are the
-// ones whose cells take longest; sub-benchmark names must not end in a
-// digit, which benchsnap would read as a GOMAXPROCS suffix.
+// ns/op is six times the policy's mean cell time. Every registered
+// policy has a sub-benchmark; their names must not end in a digit, which
+// benchsnap would read as a GOMAXPROCS suffix.
 func BenchmarkSweepCell(b *testing.B) {
 	churn := cluster.FaultModel{MTBFHours: 150, CacheLoss: true}.WithDefaults()
-	for _, name := range []string{"outoforder", "cacheoriented", "replication", "delayed", "adaptive"} {
+	for _, name := range sched.Names() {
+		if c := name[len(name)-1]; c >= '0' && c <= '9' {
+			b.Fatalf("policy %q: a sub-benchmark name must not end in a digit", name)
+		}
 		b.Run(name, func(b *testing.B) {
 			var cells []Scenario
 			for _, faults := range []cluster.FaultModel{{}, churn} {
@@ -105,13 +116,7 @@ func BenchmarkSweepCell(b *testing.B) {
 					})
 				}
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, s := range cells {
-					Run(s)
-				}
-			}
+			benchRuns(b, cells...)
 		})
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 
 	"physched/internal/cluster"
+	"physched/internal/freelist"
 	"physched/internal/job"
 	"physched/internal/metrics"
 	"physched/internal/model"
@@ -86,6 +87,11 @@ type Scenario struct {
 	// must not retain state across runs when the scenario is used in a
 	// grid: every cell invokes the same closure, concurrently under
 	// parallel execution.
+	//
+	// Everything the hook can reach stays valid after the run: the
+	// cluster, its engine and nodes, the node caches, and the subjobs and
+	// jobs still running. A run with Hooks set therefore gives none of its
+	// storage back for reuse (see RunE).
 	Hooks func(*cluster.Cluster)
 }
 
@@ -183,6 +189,14 @@ func Run(s Scenario) Result {
 
 // RunE executes one scenario to completion, reporting invalid scenarios
 // as errors instead of panicking.
+//
+// A run without Hooks gives its growable storage back when it ends —
+// the node caches, the random sources RunE seeded and, when RunE built
+// the synthetic generator itself, the job and subjob arenas — and later
+// runs reuse it. Nothing outside RunE can reach that storage by then:
+// the Result holds values only, and the jobs of a Workload or
+// NewWorkload source, with the subjobs they may list, are never
+// released.
 func RunE(s Scenario) (Result, error) {
 	s = s.withDefaults()
 	if err := s.Validate(); err != nil {
@@ -192,10 +206,11 @@ func RunE(s Scenario) (Result, error) {
 	policy := s.NewPolicy()
 	cl := cluster.New(eng, s.Params, policy.ClusterConfig())
 	faulted := s.Faults.Enabled()
+	var frng *rand.Rand // nil unless the run has faults
 	if faulted {
 		// Spare nodes must exist before Attach so policies that size
 		// their structures off Nodes() see the full roster.
-		frng := rand.New(rand.NewSource(DeriveSeed(s.Seed, faultSeedStream)))
+		frng = freelist.Rand(DeriveSeed(s.Seed, faultSeedStream))
 		if err := cluster.InstallFaults(cl, s.Faults, frng); err != nil {
 			return Result{}, err
 		}
@@ -216,13 +231,15 @@ func RunE(s Scenario) (Result, error) {
 	}
 
 	var gen workload.Source
+	var synth *workload.Generator // the generator RunE built, if any
 	switch {
 	case s.NewWorkload != nil:
 		gen = s.NewWorkload(s.Seed+1, s.Load)
 	case s.Workload != nil:
 		gen = s.Workload
 	default:
-		gen = workload.New(s.Params, rand.New(rand.NewSource(s.Seed+1)), s.Load)
+		synth = workload.NewSeeded(s.Params, s.Seed+1, s.Load)
+		gen = synth
 	}
 
 	if s.Trace != nil {
@@ -336,6 +353,19 @@ func RunE(s Scenario) (Result, error) {
 		res.AvgProc = coll.AvgProcessing()
 	} else {
 		res.Overloaded = true
+	}
+	if s.Hooks == nil {
+		cl.ReleaseCaches()
+		// A job can list suspended subjobs, so the subjob arena goes back
+		// only together with the jobs: when they came from a caller's
+		// source, the caller can still reach both.
+		if synth != nil {
+			cl.Arena().Release()
+			synth.Release()
+		}
+		if frng != nil {
+			freelist.PutRand(frng)
+		}
 	}
 	return res, nil
 }

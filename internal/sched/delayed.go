@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"physched/internal/cluster"
@@ -30,10 +32,11 @@ type Delayed struct {
 	// (paper: 200 to 25 000).
 	Stripe int64
 
-	pending []*job.Job
-	nodeQ   []subjobDeque
-	metaQ   []*metaSubjob
-	timer   *sim.Event // pending period-boundary event, nil in zero-period mode
+	pending  []*job.Job
+	nodeQ    []subjobDeque
+	metaQ    []*metaSubjob // queued from metaHead on
+	metaHead int
+	timer    *sim.Event // pending period-boundary event, nil in zero-period mode
 
 	periodFn func(any) // shared period-boundary callback (see Attach)
 
@@ -44,6 +47,8 @@ type Delayed struct {
 	points          []int64
 	ptScratch       []int64
 	cutScratch      []dataspace.Interval
+	metas           map[dataspace.Interval]*metaSubjob
+	spareMeta       []*metaSubjob // dispatched meta-subjobs, reused by newMeta
 }
 
 // metaSubjob aggregates subjobs needing overlapping uncached data; the
@@ -73,6 +78,7 @@ func (p *Delayed) Attach(c *cluster.Cluster) {
 	p.base.Attach(c)
 	// len(c.Nodes()) covers spare nodes joining late (cluster.FaultModel).
 	p.nodeQ = make([]subjobDeque, len(c.Nodes()))
+	p.metas = map[dataspace.Interval]*metaSubjob{}
 	p.periodFn = func(any) { p.periodEnd() }
 	if p.Period > 0 {
 		p.timer = p.eng.AtCall(p.Period, p.periodFn, nil)
@@ -141,7 +147,11 @@ func (p *Delayed) stripeAndGroup(uncached []*job.Subjob) {
 		boundaries = append(boundaries, sub.Range.Start, sub.Range.End)
 	}
 	p.boundScratch = boundaries
-	metas := map[dataspace.Interval]*metaSubjob{}
+	clear(p.metas)
+	// Slide the queue back to the front of its storage; feedNode pops
+	// from metaHead.
+	n := copy(p.metaQ, p.metaQ[p.metaHead:])
+	p.metaQ, p.metaHead = p.metaQ[:n], 0
 	for _, hull := range p.union.Intervals() {
 		p.points, p.ptScratch = job.AppendStripePoints(p.points[:0], p.ptScratch, boundaries, hull, p.Stripe)
 		points := p.points
@@ -152,10 +162,10 @@ func (p *Delayed) stripeAndGroup(uncached []*job.Subjob) {
 			p.cutScratch = job.AppendCutAtPoints(p.cutScratch[:0], sub.Range, points)
 			for _, cut := range p.cutScratch {
 				stripe := stripeCell(points, cut)
-				m := metas[stripe]
+				m := p.metas[stripe]
 				if m == nil {
-					m = &metaSubjob{stripe: stripe, arrival: sub.Job.Arrival}
-					metas[stripe] = m
+					m = p.newMeta(stripe, sub.Job.Arrival)
+					p.metas[stripe] = m
 					p.metaQ = append(p.metaQ, m)
 				}
 				if sub.Job.Arrival < m.arrival {
@@ -167,9 +177,21 @@ func (p *Delayed) stripeAndGroup(uncached []*job.Subjob) {
 			}
 		}
 	}
-	sort.SliceStable(p.metaQ, func(i, j int) bool {
-		return p.metaQ[i].arrival < p.metaQ[j].arrival
+	slices.SortStableFunc(p.metaQ, func(a, b *metaSubjob) int {
+		return cmp.Compare(a.arrival, b.arrival)
 	})
+}
+
+// newMeta returns an empty meta-subjob, reusing a dispatched one if any.
+func (p *Delayed) newMeta(stripe dataspace.Interval, arrival float64) *metaSubjob {
+	k := len(p.spareMeta)
+	if k == 0 {
+		return &metaSubjob{stripe: stripe, arrival: arrival}
+	}
+	m := p.spareMeta[k-1]
+	p.spareMeta = p.spareMeta[:k-1]
+	*m = metaSubjob{stripe: stripe, members: m.members[:0], arrival: arrival}
+	return m
 }
 
 // stripeCell returns the grid cell [points[i], points[i+1]) containing cut.
@@ -198,14 +220,15 @@ func (p *Delayed) feedNode(n *cluster.Node) {
 		p.c.Dispatch(n, p.nodeQ[n.ID].PopFront())
 		return
 	}
-	if len(p.metaQ) == 0 {
+	if p.metaHead == len(p.metaQ) {
 		return
 	}
-	m := p.metaQ[0]
-	p.metaQ = p.metaQ[1:]
+	m := p.metaQ[p.metaHead]
+	p.metaHead++
 	for _, sub := range m.members {
 		p.nodeQ[n.ID].PushBack(sub)
 	}
+	p.spareMeta = append(p.spareMeta, m)
 	p.c.Dispatch(n, p.nodeQ[n.ID].PopFront())
 }
 
@@ -215,7 +238,7 @@ func (p *Delayed) QueueDepths() (pendingJobs, queuedSubjobs, metaSubjobs int) {
 	for i := range p.nodeQ {
 		queuedSubjobs += p.nodeQ[i].Len()
 	}
-	return len(p.pending), queuedSubjobs, len(p.metaQ)
+	return len(p.pending), queuedSubjobs, len(p.metaQ) - p.metaHead
 }
 
 // DefaultStripe is the paper's default stripe size for Figure 5.

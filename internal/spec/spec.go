@@ -281,8 +281,13 @@ func (s Spec) Validate() error {
 	if s.Load <= 0 {
 		return fmt.Errorf("spec: load_jobs_per_hour must be positive, got %v", s.Load)
 	}
-	if _, err := s.Workload.resolve(params, 1, s.Load); err != nil {
+	src, err := s.Workload.resolve(params, 1, s.Load)
+	if err != nil {
 		return err
+	}
+	// Only the error was wanted: give the source's storage back.
+	if g, ok := src.(*workload.Generator); ok {
+		g.Release()
 	}
 	if _, err := s.Faults.Model(); err != nil {
 		return fmt.Errorf("spec: faults: %w", err)
@@ -364,16 +369,6 @@ func (s Spec) Scenario() (lab.Scenario, error) {
 			}
 			return p
 		},
-		// NewWorkload mirrors lab.Run's default seed discipline (run seed
-		// + 1), so a compiled "poisson" spec is bit-identical to the same
-		// scenario built from closures.
-		NewWorkload: func(seed int64, jobsPerHour float64) workload.Source {
-			src, err := wl.resolve(params, seed, jobsPerHour)
-			if err != nil {
-				panic(err)
-			}
-			return src
-		},
 		Load:            s.Load,
 		Seed:            s.Seed,
 		WarmupJobs:      s.WarmupJobs,
@@ -382,6 +377,18 @@ func (s Spec) Scenario() (lab.Scenario, error) {
 		MaxSimTime:      s.MaxSimTimeDays * model.Day,
 		DelayIncluded:   s.DelayIncluded,
 		Faults:          faults,
+	}
+	// The paper's Poisson stream is lab's own synthetic workload, which
+	// the run builds, owns and recycles. Other kinds come through
+	// NewWorkload, called with the same seed (run seed + 1).
+	if wl.normalize().Name != "poisson" {
+		sc.NewWorkload = func(seed int64, jobsPerHour float64) workload.Source {
+			src, err := wl.resolve(params, seed, jobsPerHour)
+			if err != nil {
+				panic(err)
+			}
+			return src
+		}
 	}
 	if err := sc.Validate(); err != nil {
 		return lab.Scenario{}, err

@@ -2,10 +2,10 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 
+	"physched/internal/freelist"
 	"physched/internal/model"
 )
 
@@ -101,7 +101,7 @@ func init() {
 		if a.PeakJobsPerHour != 0 {
 			return nil, fmt.Errorf("workload: poisson does not take peak_jobs_per_hour")
 		}
-		return New(a.Params, rand.New(rand.NewSource(a.Seed)), a.JobsPerHour), nil
+		return NewSeeded(a.Params, a.Seed, a.JobsPerHour), nil
 	}))
 	must(Register("daynight", func(a Args) (Source, error) {
 		if a.JobsPerHour <= 0 {
@@ -119,6 +119,8 @@ func init() {
 				peak, a.JobsPerHour*(1+a.Swing))
 		}
 		rate := DayNight(a.JobsPerHour, a.Swing)
-		return NewInhomogeneous(a.Params, rand.New(rand.NewSource(a.Seed)), rate, peak), nil
+		g := NewInhomogeneous(a.Params, freelist.Rand(a.Seed), rate, peak)
+		g.ownRNG = true
+		return g, nil
 	}))
 }

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"physched/internal/dataspace"
+	"physched/internal/freelist"
 	"physched/internal/job"
 	"physched/internal/model"
 	"physched/internal/stats"
@@ -26,7 +27,7 @@ type arrivalProcess interface {
 
 // Generator produces the synthetic job stream. Jobs are allocated from an
 // internal arena (chunked, one allocation per job.arenaChunk jobs) that
-// lives as long as the generator.
+// lives until Release.
 type Generator struct {
 	params  model.Params
 	rng     *rand.Rand
@@ -36,12 +37,21 @@ type Generator struct {
 	hot     []dataspace.Interval // hot start regions
 	hotLen  int64
 	coldLen int64
+	ownRNG  bool // rng came from freelist.Rand and goes back on Release
 }
 
 // New returns a generator for the given parameters and arrival rate in
 // jobs per hour, drawing randomness from rng.
 func New(p model.Params, rng *rand.Rand, jobsPerHour float64) *Generator {
 	return newGenerator(p, rng, stats.NewPoissonProcess(rng, jobsPerHour/model.Hour, 0))
+}
+
+// NewSeeded is New with a random source of its own, seeded with seed and
+// recycled through Release.
+func NewSeeded(p model.Params, seed int64, jobsPerHour float64) *Generator {
+	g := New(p, freelist.Rand(seed), jobsPerHour)
+	g.ownRNG = true
+	return g
 }
 
 // RateFunc is an instantaneous arrival rate, in jobs per hour, as a
@@ -109,6 +119,18 @@ func (g *Generator) Next() *job.Job {
 	j.ScheduledAt = t
 	g.nextID++
 	return j
+}
+
+// Release gives the generator's job storage, and a random source of its
+// own, back for reuse by later runs. Every job it returned is invalid
+// afterwards, so only the owner of the whole run may call it, once the
+// run is over; the generator must not be used again.
+func (g *Generator) Release() {
+	g.arena.Release()
+	if g.ownRNG {
+		freelist.PutRand(g.rng)
+		g.rng, g.ownRNG = nil, false
+	}
 }
 
 // segment draws a job's event range: hot-biased start point, Erlang length,
