@@ -54,9 +54,8 @@ type job struct {
 	// responses for async work still tie back to the original submit.
 	requestID string
 	// clock stamps created/finished and measures age. Injected (the
-	// server wires time.Now, tests wire a fake) so job lifecycle
-	// timestamps are deterministic under test and the walltime analyzer
-	// holds this package to a single real clock read at the wiring site.
+	// server wires obs.SystemClock, tests wire a fake) so job lifecycle
+	// timestamps are deterministic under test.
 	clock   func() time.Time
 	created time.Time
 	// cancel aborts the job's execution context (DELETE /v1/jobs/{id}).

@@ -37,10 +37,10 @@ type Pool struct {
 // PoolHooks observe per-task timing on a pool: how long each task sat
 // queued before a worker picked it up, and how long it ran. The clock is
 // injected — the pool itself never reads wall time, keeping internal/lab
-// inside the determinism boundary (the walltime analyzer enforces this;
-// a service installs hooks fed from its own audited clock seam). All
-// three fields must be set; hook calls happen outside the pool mutex on
-// the worker's hot path and must not block or allocate.
+// deterministic (TestSourceDeterminism enforces this; a service installs
+// hooks fed from obs.SystemClock). All three fields must be set; hook
+// calls happen outside the pool mutex on the worker's hot path and must
+// not block or allocate.
 type PoolHooks struct {
 	// Now returns the current time in nanoseconds (any fixed epoch).
 	Now func() int64

@@ -70,6 +70,13 @@ func runOrder(t *testing.T, cells []Scenario, order []int, workers int) []string
 // not depend on which cells ran before it or beside it. Every policy,
 // with and without churn, runs forward and in reverse, serially and on
 // four workers; every result must be byte-identical across all four.
+//
+// It is also the module's determinism battery for map order and the
+// global math/rand source. Go randomises map iteration on every range and
+// seeds the global source once per process, so a result that depends on
+// either differs between the four runs of its cell. It sees such bugs
+// only on the paths its cells execute; TestSourceDeterminism at the
+// module root bans the global source and the wall clock on every path.
 func TestRecycledStorageIsolatesRuns(t *testing.T) {
 	cells := recycleCells(t)
 	forward := make([]int, len(cells))

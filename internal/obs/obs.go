@@ -4,31 +4,30 @@
 // in the Prometheus text exposition format. Everything is stdlib-only
 // and allocation-free on the hot observation path.
 //
-// The simulation core runs on sim time exclusively — the walltime
-// analyzer (internal/analysis) bans real-clock reads inside the
-// determinism boundary — so every wall-clock observation a service
-// makes must flow through an injected Clock. SystemClock below is the
-// single sanctioned real-clock read in the module: cmd/physchedd wires
-// it at its boundary and passes the resulting Clock down to logging,
-// histograms and job timestamps; tests substitute a fake and get
-// deterministic log lines and metrics.
+// The simulation core runs on sim time exclusively, so every
+// wall-clock observation a service makes flows through an injected
+// Clock. SystemClock below is the module's one time.Now: cmd/physchedd
+// wires it at its boundary and passes the resulting Clock down to
+// logging, histograms and job timestamps; tests substitute a fake and
+// get deterministic log lines and metrics. TestSourceDeterminism in the
+// root package fails on a wall-clock call outside its short table of
+// allowed sites.
 package obs
 
 import "time"
 
 // Clock supplies the current time. Service code never calls time.Now
 // directly: it receives a Clock (SystemClock in production, a fake in
-// tests), which keeps wall time injectable and the walltime lint
-// contract auditable at one site.
+// tests), which keeps wall time injectable and every real-clock read at
+// one site.
 type Clock func() time.Time
 
-// SystemClock is the production Clock — the one sanctioned real-clock
-// read in the module. Every service-layer timestamp (log records,
-// request durations, queue waits, job lifecycle times) derives from
-// this seam; a second time.Now anywhere in an audited package is a
-// lint finding, not a convention violation.
+// SystemClock is the production Clock and the module's one time.Now.
+// Every service-layer timestamp (log records, request durations, queue
+// waits, job lifecycle times) derives from it; a time.Now anywhere else
+// fails TestSourceDeterminism.
 func SystemClock() time.Time {
-	return time.Now() //physched:walltime the single audited real-clock source: all service observability derives from this seam
+	return time.Now()
 }
 
 // NowNanos adapts a Clock to the monotonic-nanosecond form the

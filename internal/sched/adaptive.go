@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"sort"
 
 	"physched/internal/cluster"
@@ -103,11 +104,10 @@ func (p *Adaptive) delayFor(load float64) float64 {
 
 func (p *Adaptive) JobArrived(j *job.Job) {
 	now := p.now()
+	// Drop the arrivals older than the window in place, so appends reuse
+	// the slice's storage instead of sliding off its front.
+	p.arrivals = slices.Delete(p.arrivals, 0, sort.SearchFloat64s(p.arrivals, now-p.Window))
 	p.arrivals = append(p.arrivals, now)
-	cutoff := now - p.Window
-	for len(p.arrivals) > 0 && p.arrivals[0] < cutoff {
-		p.arrivals = p.arrivals[1:]
-	}
 	p.retune()
 	p.inner.JobArrived(j)
 }
@@ -144,7 +144,10 @@ func (p *Adaptive) retune() {
 // flushPending schedules all accumulated jobs immediately.
 func (p *Adaptive) flushPending() {
 	jobs := p.inner.pending
-	p.inner.pending = nil
+	// scheduleJobs finishes before any new arrival can append to pending,
+	// so the backing array serves the next delayed stretch (as in
+	// periodEnd).
+	p.inner.pending = p.inner.pending[:0]
 	now := p.now()
 	for _, j := range jobs {
 		j.ScheduledAt = now
