@@ -11,25 +11,36 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata")
 
-// TestFiguresQuickGolden renders every experiment at Quick quality and
-// seed 1 — text with plots, and CSV where the recipe has one — and pins
-// the whole output to testdata/figures_quick.golden, so no change to a
-// recipe, the simulator or the renderers can move a published number
-// silently. Run `go test ./internal/experiments -run TestFiguresQuickGolden
-// -update` after a deliberate change.
+// TestFiguresQuickGolden renders every experiment at seed 1 — text with
+// plots, and CSV where the recipe has one — and pins the whole output at
+// Quick quality to testdata/figures_quick.golden and at Full quality to
+// testdata/figures_full.golden, so no change to a recipe, its scenario
+// data, the simulator or the renderers can move a published number
+// silently. The Full half is skipped under -short. Run `go test
+// ./internal/experiments -run TestFiguresQuickGolden -update` after a
+// deliberate change.
 func TestFiguresQuickGolden(t *testing.T) {
-	var b strings.Builder
-	for _, id := range AllFigureIDs() {
-		out, err := Render(id, Quick, 1, true)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+	for _, level := range []struct {
+		name string
+		q    Quality
+	}{{"quick", Quick}, {"full", Full}} {
+		if level.q == Full && testing.Short() {
+			t.Log("skipping the Full-quality golden under -short")
+			continue
 		}
-		fmt.Fprintf(&b, "=== %s\n%s\n", id, out.Text)
-		if out.CSV != "" {
-			fmt.Fprintf(&b, "--- %s.csv\n%s", id, out.CSV)
+		var b strings.Builder
+		for _, id := range AllFigureIDs() {
+			out, err := Render(id, level.q, 1, true)
+			if err != nil {
+				t.Fatalf("%s %s: %v", level.name, id, err)
+			}
+			fmt.Fprintf(&b, "=== %s\n%s\n", id, out.Text)
+			if out.CSV != "" {
+				fmt.Fprintf(&b, "--- %s.csv\n%s", id, out.CSV)
+			}
 		}
+		checkTextGolden(t, "figures_"+level.name+".golden", b.String())
 	}
-	checkTextGolden(t, "figures_quick.golden", b.String())
 }
 
 // checkTextGolden compares got with testdata/<name>, rewriting the file
