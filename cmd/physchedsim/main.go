@@ -331,9 +331,7 @@ func (c cli) runGrid(opts lab.Options, in input) error {
 		rs.Labels[0] = in.grid.Base.Policy.Name
 	}
 	fig := experiments.Figure{
-		ID:     "spec",
 		Title:  fmt.Sprintf("spec %s (hash %.12s…)", filepath.Base(in.path), hash),
-		Loads:  rs.Loads,
 		Curves: rs.Curves(),
 	}
 	out := fig.Render(c.plots)
@@ -348,7 +346,7 @@ func (c cli) runGrid(opts lab.Options, in input) error {
 	if opts.Cache != nil {
 		fmt.Printf("cells %d, served from cache %d\n", len(rs.Results), rs.CacheHits)
 	}
-	return writeCSV(c.csvDir, fig.ID, out.CSV)
+	return writeCSV(c.csvDir, "spec", out.CSV)
 }
 
 // runStudy executes a budgeted scenario search (internal/opt) on the lab

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -336,5 +337,46 @@ func TestCSVWriteFailureSurfaces(t *testing.T) {
 	_, _, err := capture(t, func() error { return c.run(nil, []string{"csv", "fig"}) })
 	if err == nil || !strings.Contains(err.Error(), "writing /nonexistent-dir-for-physched-test/fig2.csv") {
 		t.Errorf("unwritable CSV dir: got %v", err)
+	}
+}
+
+// TestFigureFileRunsAsGridFile: element 0 of an embedded figure file is a
+// complete grid document. Run as a grid file it prints the same table
+// rows and CSV as `-fig fig3`; only the title lines differ.
+func TestFigureFileRunsAsGridFile(t *testing.T) {
+	body, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "figures", "quick", "fig3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var elems []json.RawMessage
+	if err := json.Unmarshal(body, &elems); err != nil || len(elems) == 0 {
+		t.Fatalf("fig3.json: %v, %d elements", err, len(elems))
+	}
+	path := writeFile(t, "fig3-0.json", string(elems[0]))
+	figDir, gridDir := t.TempDir(), t.TempDir()
+	fig := cli{fig: "fig3", quality: "quick", seed: 1, csvDir: figDir}
+	figOut, _, err := capture(t, func() error { return fig.run(nil, []string{"fig", "plots", "csv"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := cli{csvDir: gridDir}
+	gridOut, _, err := capture(t, func() error { return grid.run([]string{path}, []string{"plots", "csv"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The rows follow the title and note, from the first blank line to the
+	// blank line that ends the table.
+	rows := func(out string) string {
+		_, after, _ := strings.Cut(out, "\n\n")
+		table, _, _ := strings.Cut(after, "\n\n\n")
+		return table
+	}
+	if rows(figOut) == "" || rows(figOut) != rows(gridOut) {
+		t.Errorf("table rows differ:\n-fig fig3:\n%s\ngrid file:\n%s", figOut, gridOut)
+	}
+	figCSV, err1 := os.ReadFile(filepath.Join(figDir, "fig3.csv"))
+	gridCSV, err2 := os.ReadFile(filepath.Join(gridDir, "spec.csv"))
+	if err1 != nil || err2 != nil || string(figCSV) != string(gridCSV) {
+		t.Errorf("CSV differs (%v, %v):\n%s\nvs\n%s", err1, err2, figCSV, gridCSV)
 	}
 }

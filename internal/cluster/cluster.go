@@ -166,7 +166,6 @@ type Cluster struct {
 	stats  Stats
 
 	freeRun *Running // recycled Running objects
-	planBuf []Piece  // scratch for EstimateTime
 	arena   job.Arena
 
 	// Plan-partition scratch, reused across dispatches (planInto is not
@@ -330,17 +329,6 @@ func (c *Cluster) planInto(buf []Piece, n *Node, iv dataspace.Interval) []Piece 
 
 func (c *Cluster) tapePiece(n *Node, iv dataspace.Interval) Piece {
 	return Piece{Range: iv, Source: SourceTape, RemoteNode: -1, PerEvent: n.evtTape}
-}
-
-// EstimateTime returns the wall time node n would need to process iv with
-// the current cache contents.
-func (c *Cluster) EstimateTime(n *Node, iv dataspace.Interval) float64 {
-	c.planBuf = c.planInto(c.planBuf[:0], n, iv)
-	var t float64
-	for _, p := range c.planBuf {
-		t += float64(p.Range.Len()) * p.PerEvent
-	}
-	return t
 }
 
 // acquireRunning takes a Running from the free list (or makes one) and

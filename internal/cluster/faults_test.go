@@ -168,17 +168,17 @@ func TestDownNodeServesNoRemoteReads(t *testing.T) {
 	eng.Run() // node 1 now caches [0,1000)
 
 	iv := dataspace.Iv(0, 1000)
-	remote := c.EstimateTime(c.Node(0), iv)
+	remote := estimateTime(c, c.Node(0), iv)
 	if want := 1000 * c.Params().EventTimeRemote(); math.Abs(remote-want) > 1e-6 {
 		t.Fatalf("estimate with owner up = %v, want remote rate %v", remote, want)
 	}
 	c.FailNode(c.Node(1), false) // outage preserves the disk…
-	down := c.EstimateTime(c.Node(0), iv)
+	down := estimateTime(c, c.Node(0), iv)
 	if want := 1000 * c.Params().EventTimeTape(); math.Abs(down-want) > 1e-6 {
 		t.Errorf("estimate with owner down = %v, want tape rate %v", down, want)
 	}
 	c.RepairNode(c.Node(1)) // …and the data serves again after repair
-	back := c.EstimateTime(c.Node(0), iv)
+	back := estimateTime(c, c.Node(0), iv)
 	if math.Abs(back-remote) > 1e-6 {
 		t.Errorf("estimate after repair = %v, want %v", back, remote)
 	}

@@ -87,55 +87,6 @@ func AblationReplicationThreshold(q Quality, seed int64) []AblationRow {
 	return ablate(baseScenario(q, seed), loads, variants)
 }
 
-// AblationHotspot varies the workload's hot-region weight. The paper's
-// default sends 50% of job start points into 10% of the dataspace; without
-// that skew caches cover a smaller fraction of the touched data.
-func AblationHotspot(q Quality, seed int64) []AblationRow {
-	loads := loadGrid(q, 0.8, 1.6)
-	var variants []lab.Variant
-	for _, w := range []float64{0, 0.25, 0.5, 0.75} {
-		w := w
-		variants = append(variants, lab.Variant{
-			Label:     fmt.Sprintf("hot weight %.0f%%", 100*w),
-			NewPolicy: func() sched.Policy { return sched.NewOutOfOrder() },
-			Mutate:    func(s *lab.Scenario) { s.Params.HotWeight = w },
-		})
-	}
-	return ablate(baseScenario(q, seed), loads, variants)
-}
-
-// FutureWorkPipelining implements and evaluates the paper's §7 future-work
-// item: overlapping data transfers with computation. Pipelining makes an
-// uncached event cost max(CPU, transfer) instead of their sum, which both
-// accelerates cache misses and raises every load bound.
-func FutureWorkPipelining(q Quality, seed int64) []AblationRow {
-	loads := loadGrid(q, 0.8, 2.2)
-	variants := []lab.Variant{
-		{Label: "paper model (no overlap)", NewPolicy: func() sched.Policy { return sched.NewOutOfOrder() }},
-		{Label: "pipelined transfers", NewPolicy: func() sched.Policy { return sched.NewOutOfOrder() },
-			Mutate: func(s *lab.Scenario) { s.Params.PipelinedTransfers = true }},
-	}
-	return ablate(baseScenario(q, seed), loads, variants)
-}
-
-// BaselineComparison pits the paper's dynamic policies against two
-// baselines this repo adds: static data partitioning (one owner node per
-// dataspace slice — the classical alternative the related work cites) and
-// a cache-affine farm (caching and affinity routing, but no job
-// splitting). It decomposes the cache-oriented gain into its caching and
-// parallelism parts and shows what dynamic placement buys over static
-// ownership under the hot-skewed workload.
-func BaselineComparison(q Quality, seed int64) []AblationRow {
-	loads := loadGrid(q, 0.7, 1.6)
-	variants := []lab.Variant{
-		{Label: "partitioned (static ownership)", NewPolicy: func() sched.Policy { return sched.NewPartitioned() }},
-		{Label: "affine farm (caching, no splitting)", NewPolicy: func() sched.Policy { return sched.NewAffineFarm() }},
-		{Label: "cache-oriented splitting", NewPolicy: func() sched.Policy { return sched.NewCacheOriented() }},
-		{Label: "out-of-order", NewPolicy: func() sched.Policy { return sched.NewOutOfOrder() }},
-	}
-	return ablate(baseScenario(q, seed), loads, variants)
-}
-
 // HeterogeneityStudy relaxes the paper's "all nodes are identical"
 // assumption (§2.4): half the nodes run at double CPU cost. It compares
 // how the farm (blind placement) and out-of-order (work stealing) policies
@@ -212,8 +163,13 @@ func NodeCountStudy(q Quality, seed int64) []NodeCountRow {
 
 // ablate sweeps all variants and flattens the curves into rows.
 func ablate(base lab.Scenario, loads []float64, variants []lab.Variant) []AblationRow {
+	return flatten(sweepCurves(base, loads, variants))
+}
+
+// flatten turns curves into ablation rows, grouped by curve.
+func flatten(curves []lab.Curve) []AblationRow {
 	var rows []AblationRow
-	for _, c := range sweepCurves(base, loads, variants) {
+	for _, c := range curves {
 		for _, r := range c.Results {
 			rows = append(rows, AblationRow{Variant: c.Label, Load: r.Load, Result: r})
 		}

@@ -41,7 +41,7 @@ func TestFig2SerialEqualsParallel(t *testing.T) {
 // Quantitative burstiness effects are left to Full-scale runs — Quick
 // windows are too short to rank sustainable loads reliably.
 func TestDayNightTiny(t *testing.T) {
-	rows := DayNight(Quick, 1)
+	rows := dataRows("daynight", Quick, 1)
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}

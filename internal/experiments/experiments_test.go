@@ -46,24 +46,6 @@ func TestQualityScales(t *testing.T) {
 	}
 }
 
-func TestDelayedBacklogStretchesWindow(t *testing.T) {
-	s := baseScenario(Quick, 1)
-	before := s.MeasureJobs
-	delayedBacklog(model.Week)(&s)
-	if s.MeasureJobs <= before {
-		t.Errorf("week-long delay should stretch the measurement window, got %d", s.MeasureJobs)
-	}
-	if s.OverloadBacklog <= int64(25*s.Params.Nodes) {
-		t.Errorf("OverloadBacklog %d not raised", s.OverloadBacklog)
-	}
-	// A short delay must not shrink an already sufficient window.
-	s2 := baseScenario(Quick, 1)
-	delayedBacklog(model.Hour)(&s2)
-	if s2.MeasureJobs < Quick.measure() {
-		t.Errorf("short delay shrank the window to %d", s2.MeasureJobs)
-	}
-}
-
 func TestFigureTableAndCSV(t *testing.T) {
 	// Build a minimal figure through the real sweep machinery.
 	s := tiny(baseScenario(Quick, 1))
@@ -72,7 +54,7 @@ func TestFigureTableAndCSV(t *testing.T) {
 		{Label: "farm", NewPolicy: func() sched.Policy { return sched.NewFarm() }},
 		{Label: "ooo", NewPolicy: func() sched.Policy { return sched.NewOutOfOrder() }},
 	})
-	f := Figure{ID: "t", Title: "test figure", Loads: loads, Curves: curves}
+	f := Figure{Title: "test figure", Curves: curves}
 
 	table := f.Table()
 	for _, want := range []string{"test figure", "farm", "ooo", "steady"} {
@@ -123,20 +105,5 @@ func TestAllFigureIDs(t *testing.T) {
 			t.Errorf("duplicate id %q", id)
 		}
 		seen[id] = true
-	}
-}
-
-func TestStripeLabel(t *testing.T) {
-	cases := map[int64]string{
-		200:   "200 events",
-		1000:  "1K events",
-		5000:  "5K events",
-		25000: "25K events",
-		1500:  "1500 events",
-	}
-	for in, want := range cases {
-		if got := stripeLabel(in); got != want {
-			t.Errorf("stripeLabel(%d) = %q, want %q", in, got, want)
-		}
 	}
 }

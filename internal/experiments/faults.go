@@ -4,41 +4,8 @@ import (
 	"fmt"
 	"strings"
 
-	"physched/internal/cluster"
-	"physched/internal/lab"
-	"physched/internal/sched"
 	"physched/internal/stats"
 )
-
-// FaultStudy sweeps node churn against load for the out-of-order policy:
-// an MTBF axis from the never-failing paper cluster down to a node
-// failing every two days, with disk-losing failures and four-hour
-// repairs. The study quantifies what the paper's fault-free evaluation
-// hides — how much sustainable load, speedup and goodput a real PC farm
-// gives up to churn, with cache rebuilds (every failure cold-starts the
-// node's disk) compounding the direct loss of re-executed work.
-func FaultStudy(q Quality, seed int64) []AblationRow {
-	loads := loadGrid(q, 0.6, 1.6)
-	var variants []lab.Variant
-	for _, mtbf := range []float64{0, 500, 150, 48} {
-		mtbf := mtbf
-		label := "no failures"
-		if mtbf > 0 {
-			label = fmt.Sprintf("MTBF %.0f h", mtbf)
-		}
-		variants = append(variants, lab.Variant{
-			Label:     label,
-			NewPolicy: func() sched.Policy { return sched.NewOutOfOrder() },
-			Mutate: func(s *lab.Scenario) {
-				if mtbf == 0 {
-					return
-				}
-				s.Faults = cluster.FaultModel{MTBFHours: mtbf, RepairHours: 4, CacheLoss: true}
-			},
-		})
-	}
-	return ablate(baseScenario(q, seed), loads, variants)
-}
 
 // RenderFaults renders a fault study with its churn columns: goodput,
 // wasted events and re-executions alongside the headline metrics.

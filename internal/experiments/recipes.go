@@ -49,8 +49,14 @@ var recipes = []struct {
 	{"pipeline", ablation("Future work (§7): pipelining data transfers with computation", FutureWorkPipelining)},
 	{"baselines", ablation("Baselines: static partitioning and affine farm vs the paper's dynamic policies", BaselineComparison)},
 	{"hetero", ablation("Extension: heterogeneous node speeds (equal aggregate capacity)", HeterogeneityStudy)},
-	{"daynight", ablation("Extension: day/night load cycle (inhomogeneous Poisson arrivals, equal mean load)", DayNight)},
-	{"faults", report(FaultStudy, RenderFaults)},
+	// Arrivals on a 24-hour day/night cycle at equal mean load: how much
+	// sustainable load each policy loses to burstiness.
+	{"daynight", ablation("Extension: day/night load cycle (inhomogeneous Poisson arrivals, equal mean load)", func(q Quality, seed int64) []AblationRow {
+		return dataRows("daynight", q, seed)
+	})},
+	// Out-of-order under node churn, MTBF × load: failures with disk loss
+	// and four-hour repairs cost re-executed work and cache rebuilds.
+	{"faults", report(func(q Quality, seed int64) []AblationRow { return dataRows("faults", q, seed) }, RenderFaults)},
 	{"tune", func(q Quality, seed int64, _ bool) (Output, error) {
 		tr, err := Tune(q, seed)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 	"physched/internal/asciiplot"
 	"physched/internal/model"
 	"physched/internal/queueing"
-	"physched/internal/sched"
 	"physched/internal/stats"
 )
 
@@ -148,21 +147,17 @@ type FarmRow struct {
 // M/Er/m queue, comparing simulated and analytic mean waiting times.
 func FarmVsMErM(q Quality, seed int64) []FarmRow {
 	p := model.PaperCalibrated()
-	loads := loadGrid(q, 0.5, 1.05)
-	s := baseScenario(q, seed)
-	s.NewPolicy = func() sched.Policy { return sched.NewFarm() }
-	s.MeasureJobs = 3 * q.measure() // waiting-time means converge slowly
-	results := sweep(s, loads)
-	rows := make([]FarmRow, len(loads))
+	results := runFigure("farm", q, seed)[0].Results
+	rows := make([]FarmRow, len(results))
 	for i, r := range results {
 		mm := queueing.MErM{
-			Lambda:      loads[i] / model.Hour,
+			Lambda:      r.Load / model.Hour,
 			MeanService: float64(p.MeanJobEvents) * p.EventTimeTape(),
 			Shape:       p.ErlangShape,
 			Servers:     p.Nodes,
 		}
 		w, err := mm.MeanWait()
-		row := FarmRow{Load: loads[i], Utilisation: mm.Utilisation(), Overloaded: r.Overloaded}
+		row := FarmRow{Load: r.Load, Utilisation: mm.Utilisation(), Overloaded: r.Overloaded}
 		if err == nil {
 			row.ModelWaiting = w
 		}

@@ -157,8 +157,8 @@ func (p *CacheOriented) SubjobDone(n *cluster.Node, sj *job.Subjob) {
 		return
 	}
 	// Job end: first queued job, else the most suitable suspended subjob of
-	// any running job, else split a running subjob.
-	p.untrack(j)
+	// any running job, else split a running subjob. The prune above
+	// already dropped j from the running list.
 	if !p.queue.Empty() {
 		nj := p.queue.Pop()
 		p.track(nj)
@@ -219,15 +219,6 @@ func (p *CacheOriented) splitForNode(n *cluster.Node) {
 }
 
 func (p *CacheOriented) track(j *job.Job) { p.running = append(p.running, j) }
-
-func (p *CacheOriented) untrack(j *job.Job) {
-	for i, r := range p.running {
-		if r == j {
-			p.running = append(p.running[:i], p.running[i+1:]...)
-			return
-		}
-	}
-}
 
 func (p *CacheOriented) prune() {
 	kept := p.running[:0]
