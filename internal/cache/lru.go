@@ -46,6 +46,7 @@ type LRU struct {
 	head     int32    // most recently used, noSeg when empty
 	tail     int32    // least recently used
 	segs     []segRef // sorted by interval start, disjoint
+	finger   int      // directory position the last seek returned
 	set      dataspace.Set
 
 	pool     []segment // segment storage, addressed by segRef.id
@@ -129,14 +130,9 @@ func (c *LRU) Contains(iv dataspace.Interval) bool { return c.set.ContainsInterv
 // materialising them.
 func (c *LRU) CachedLen(iv dataspace.Interval) int64 { return c.set.IntersectLen(iv) }
 
-// cachedFirstRun returns the first cached run of iv — the allocation-free
-// query the index planning paths use.
-func (c *LRU) cachedFirstRun(iv dataspace.Interval) dataspace.Interval {
-	return c.set.FirstRunIn(iv)
-}
-
-// cachedFirstRunFrom is cachedFirstRun with a resumable cursor (see
-// dataspace.Set.FirstRunFrom); the hint is invalidated by any mutation.
+// cachedFirstRunFrom returns the first cached run of iv with a
+// resumable cursor (see dataspace.Set.FirstRunFrom); the hint is
+// invalidated by any mutation.
 func (c *LRU) cachedFirstRunFrom(iv dataspace.Interval, hint int) (dataspace.Interval, int) {
 	return c.set.FirstRunFrom(iv, hint)
 }
@@ -376,34 +372,48 @@ func (c *LRU) listInsertAfter(id, after int32) {
 
 // seekOverlap returns the directory position of the first segment with
 // End > t — the first candidate to overlap an interval starting at t.
-// Hand-rolled binary search: this is the hottest lookup of the cache and
-// the sort.Search closure overhead is measurable.
+// This is the hottest lookup of the cache, and an Insert's or Touch's
+// seeks mostly return to where the previous one landed, so it tries the
+// finger first: two comparisons prove it still right. Otherwise a
+// branch-free binary search (the comparison's sign bit moves the base,
+// as in dataspace.Set.searchEnd) finds the position and the finger moves
+// there.
 func (c *LRU) seekOverlap(t int64) int {
-	lo, hi := 0, len(c.segs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.segs[mid].iv.End > t {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	segs, f := c.segs, c.finger
+	if f <= len(segs) && (f == 0 || segs[f-1].iv.End <= t) && (f == len(segs) || segs[f].iv.End > t) {
+		return f
 	}
-	return lo
+	f = 0
+	if n := len(segs); n > 0 {
+		for n > 1 {
+			half := n >> 1
+			f += half & int(^((t - segs[f+half].iv.End) >> 63)) // End <= t: move right
+			n -= half
+		}
+		f += int(((segs[f].iv.End - t - 1) >> 63) & 1)
+	}
+	c.finger = f
+	return f
 }
 
 // seekStart returns the directory position of the first segment with
-// Start >= t.
+// Start >= t, through the same finger as seekOverlap.
 func (c *LRU) seekStart(t int64) int {
-	lo, hi := 0, len(c.segs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if c.segs[mid].iv.Start >= t {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	segs, f := c.segs, c.finger
+	if f <= len(segs) && (f == 0 || segs[f-1].iv.Start < t) && (f == len(segs) || segs[f].iv.Start >= t) {
+		return f
 	}
-	return lo
+	f = 0
+	if n := len(segs); n > 0 {
+		for n > 1 {
+			half := n >> 1
+			f += half & int(^((t - 1 - segs[f+half].iv.Start) >> 63)) // Start < t: move right
+			n -= half
+		}
+		f += int(((segs[f].iv.Start - t) >> 63) & 1)
+	}
+	c.finger = f
+	return f
 }
 
 func (c *LRU) insertAt(i int, ref segRef) {

@@ -1,8 +1,12 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
+	"testing/quick"
 
 	"physched/internal/dataspace"
 )
@@ -198,4 +202,93 @@ func TestReleasedStorageBehavesFresh(t *testing.T) {
 	if allocs > 1 {
 		t.Errorf("a build-use-release cycle allocates %.1f times, want 1 (the LRU itself)", allocs)
 	}
+}
+
+// TestDirectorySeeksMatchReference drives a cache through random Insert,
+// Touch, Clear and Release calls under checkInvariants, and a twin cache
+// through the same calls with its directory finger spoiled before each
+// one, so the twin's first seek of each call takes the binary search. Probes cluster near
+// the previous one, as the policies' do. Every seek must agree with a
+// sort.Search over the directory, and both caches must end each step
+// holding the same segments in the same recency order. Clear often
+// leaves the finger past the end of the directory.
+func TestDirectorySeeksMatchReference(t *testing.T) {
+	pastEnd := 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		capacity, policy := 200+rng.Int63n(400), EvictPolicy(rng.Intn(2))
+		c, twin := NewLRU(capacity, policy), NewLRU(capacity, policy)
+		defer c.Release()
+		defer twin.Release()
+		near := int64(0)
+		point := func() int64 {
+			if rng.Intn(4) == 0 {
+				near = rng.Int63n(2_000)
+			} else {
+				near += rng.Int63n(61) - 30
+			}
+			return near
+		}
+		both := func(f func(*LRU)) {
+			f(c)
+			twin.finger = len(twin.segs) + 1
+			f(twin)
+		}
+		for step := 0; step < 400; step++ {
+			if c.finger > len(c.segs) {
+				pastEnd++
+			}
+			now := float64(step)
+			switch op := rng.Intn(40); {
+			case op < 14:
+				a := point()
+				iv := dataspace.Iv(a, a+1+rng.Int63n(120))
+				both(func(c *LRU) { c.Insert(iv, now) })
+			case op < 20:
+				a := point()
+				iv := dataspace.Iv(a, a+1+rng.Int63n(120))
+				both(func(c *LRU) { c.Touch(iv, now) })
+			case op < 22:
+				both((*LRU).Clear)
+			case op < 23:
+				both((*LRU).Release)
+			case op < 31:
+				e := point()
+				want := sort.Search(len(c.segs), func(i int) bool { return c.segs[i].iv.End > e })
+				if got := c.seekOverlap(e); got != want {
+					t.Errorf("seed %d step %d: seekOverlap(%d) = %d, want %d", seed, step, e, got, want)
+					return false
+				}
+			default:
+				e := point()
+				want := sort.Search(len(c.segs), func(i int) bool { return c.segs[i].iv.Start >= e })
+				if got := c.seekStart(e); got != want {
+					t.Errorf("seed %d step %d: seekStart(%d) = %d, want %d", seed, step, e, got, want)
+					return false
+				}
+			}
+			c.checkInvariants()
+			twin.checkInvariants()
+			if got, want := recency(c), recency(twin); got != want {
+				t.Errorf("seed %d step %d: cache holds %s, twin %s", seed, step, got, want)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+	if pastEnd == 0 {
+		t.Error("no step ran with the finger past the end of the directory")
+	}
+}
+
+// recency lists the cached segments, most recently used first.
+func recency(c *LRU) string {
+	var b strings.Builder
+	for id := c.head; id != noSeg; id = c.pool[id].next {
+		fmt.Fprintf(&b, "%v@%g ", c.pool[id].iv, c.pool[id].last)
+	}
+	return b.String()
 }

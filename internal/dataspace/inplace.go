@@ -102,23 +102,25 @@ func (s Set) FirstRunIn(iv Interval) Interval {
 // FirstRunFrom is FirstRunIn with a resumable cursor for callers that
 // probe the same unchanged set with monotonically increasing iv.Start
 // (the per-node scans of Index.AppendPartitionByNode). A negative hint
-// positions by binary search; a hint returned by a previous call on the
-// same set advances linearly, which is O(1) amortised over a sweep. The
-// returned hint is only valid until the set is mutated.
-func (s Set) FirstRunFrom(iv Interval, hint int) (Interval, int) {
+// positions through the set's finger: most scans of a node cache start
+// where the previous unhinted call landed, and the others binary-search.
+// A hint returned by a previous call on the same set advances linearly,
+// which is O(1) amortised over a sweep. The returned hint is only valid
+// until the set is mutated.
+func (s *Set) FirstRunFrom(iv Interval, hint int) (Interval, int) {
 	if iv.Empty() {
 		return Interval{}, hint
 	}
-	i := hint
+	ivs, i := s.ivs, hint
 	if i < 0 {
-		i = s.searchEnd(iv.Start)
+		i = s.searchEndFinger(iv.Start)
 	} else {
-		for i < len(s.ivs) && s.ivs[i].End <= iv.Start {
+		for i < len(ivs) && ivs[i].End <= iv.Start {
 			i++
 		}
 	}
-	if i < len(s.ivs) && s.ivs[i].Start < iv.End {
-		return s.ivs[i].Intersect(iv), i
+	if i < len(ivs) && ivs[i].Start < iv.End {
+		return ivs[i].Intersect(iv), i
 	}
 	return Interval{}, i
 }

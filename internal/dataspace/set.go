@@ -6,8 +6,15 @@ import "strings"
 // value is an empty set ready for use. The mutators in inplace.go reuse
 // the set's storage, so a copied Set value is a view that the next
 // in-place mutation invalidates; Add is the one mutator that copies.
+//
+// FirstRunFrom writes the set's finger, so a Set must not be queried from
+// two goroutines at once, even when nothing mutates it.
 type Set struct {
 	ivs []Interval
+	// finger is the index FirstRunFrom's last search returned. It is
+	// checked before each use, so no mutation has to maintain it; after
+	// Reset it may even point past the end.
+	finger int
 }
 
 // Intervals returns the canonical intervals of s in ascending order.
@@ -26,20 +33,42 @@ func (s Set) Len() int64 {
 	return n
 }
 
-// searchEnd returns the index of the first interval whose End exceeds e.
-// Hand-rolled binary search: this underlies every interval query on the
-// simulator's hot path and the sort.Search closure overhead is measurable.
+// searchEnd returns the index of the first interval whose End exceeds e,
+// by a branch-free binary search (Khuong & Morin, "Array Layouts for
+// Comparison-Based Searching"): the halving loop runs a fixed number of
+// rounds for a given length, and the sign bit of e-End, not a
+// data-dependent branch, decides whether the base moves. Every interval
+// query on the simulator's hot path starts here, and its probes are too
+// irregular for a branch predictor. e-End cannot overflow for event
+// indices, which are far below 2^62.
 func (s Set) searchEnd(e int64) int {
-	lo, hi := 0, len(s.ivs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s.ivs[mid].End > e {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	ivs := s.ivs
+	n := len(ivs)
+	if n == 0 {
+		return 0
 	}
-	return lo
+	base := 0
+	for n > 1 {
+		half := n >> 1
+		// ^((e-End)>>63) is all ones when End <= e, zero otherwise.
+		base += half & int(^((e - ivs[base+half].End) >> 63))
+		n -= half
+	}
+	return base + int(((ivs[base].End-e-1)>>63)&1)
+}
+
+// searchEndFinger is searchEnd for probes that return again and again to
+// the same spot: it tries the finger, the previous answer, first — two
+// comparisons prove it is still the answer — and searches and moves the
+// finger only when they fail.
+func (s *Set) searchEndFinger(e int64) int {
+	ivs, f := s.ivs, s.finger
+	if f <= len(ivs) && (f == 0 || ivs[f-1].End <= e) && (f == len(ivs) || ivs[f].End > e) {
+		return f
+	}
+	f = s.searchEnd(e)
+	s.finger = f
+	return f
 }
 
 // Contains reports whether event e is in s.

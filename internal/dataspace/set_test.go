@@ -262,3 +262,32 @@ func BenchmarkSetPartition(b *testing.B) {
 		buf = s.AppendPartition(Iv(int64(i%2_000_000), int64(i%2_000_000)+30_000), buf[:0])
 	}
 }
+
+// BenchmarkSetFirstRunFrom measures one probe of a monotone scan over a
+// set of about 2,000 short intervals, the per-node step of
+// cache.Index.AppendPartitionByNode: every 16 probes the scan restarts
+// elsewhere without a hint.
+func BenchmarkSetFirstRunFrom(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	var s Set
+	for i := 0; i < 2_000; i++ {
+		a := rng.Int63n(3_000_000)
+		s.AddInPlace(Iv(a, a+1+rng.Int63n(2_000)))
+	}
+	starts := make([]int64, 1024)
+	for i := range starts {
+		starts[i] = rng.Int63n(2_000_000)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var pos int64
+	hint := -1
+	for i := 0; i < b.N; i++ {
+		if i%16 == 0 {
+			pos, hint = starts[(i/16)%len(starts)], -1
+		}
+		var run Interval
+		run, hint = s.FirstRunFrom(Iv(pos, pos+30_000), hint)
+		pos += 1 + run.Len() + 1_000
+	}
+}

@@ -20,8 +20,9 @@ type CacheOriented struct {
 
 	idleScratch   []*cluster.Node
 	subsScratch   []*job.Subjob
-	assignScratch []int  // idle-node index -> subjob index, -1 when none
-	usedScratch   []bool // subjob index -> already assigned
+	assignScratch []int   // idle-node index -> subjob index, -1 when none
+	usedScratch   []bool  // subjob index -> already assigned
+	amtScratch    []int64 // (idle node, subjob) -> events cached, row-major
 }
 
 // NewCacheOriented returns the cache-oriented job-splitting policy.
@@ -252,7 +253,8 @@ func popBestSuspended(c *cluster.Cluster, j *job.Job, n *cluster.Node) *job.Subj
 // repeatedly picks the (node, subjob) pair with the highest cached amount
 // (first maximum in idle-then-subs order, so the result is deterministic).
 // The returned slice maps idle-node index to subjob index (-1 when the node
-// gets nothing); it and usedScratch are valid until the next call.
+// gets nothing); it, usedScratch and amtScratch are valid until the next
+// call.
 func (p *CacheOriented) assignByAffinity(subs []*job.Subjob, idle []*cluster.Node) []int {
 	assigned := p.assignScratch[:0]
 	for range idle {
@@ -264,19 +266,24 @@ func (p *CacheOriented) assignByAffinity(subs []*job.Subjob, idle []*cluster.Nod
 		used = append(used, false)
 	}
 	p.usedScratch = used
+	// The caches do not change while the match runs: read each cached
+	// amount once.
+	amts := p.amtScratch[:0]
+	for _, n := range idle {
+		for _, sub := range subs {
+			amts = append(amts, p.c.Index().CachedOn(n.ID, sub.Range))
+		}
+	}
+	p.amtScratch = amts
 	for count := 0; count < len(idle) && count < len(subs); count++ {
 		bn, bs := -1, -1
 		var bAmt int64 = -1
-		for ni, n := range idle {
+		for ni := range idle {
 			if assigned[ni] >= 0 {
 				continue
 			}
-			for si, sub := range subs {
-				if used[si] {
-					continue
-				}
-				amt := p.c.Index().CachedOn(n.ID, sub.Range)
-				if amt > bAmt {
+			for si, amt := range amts[ni*len(subs) : (ni+1)*len(subs)] {
+				if !used[si] && amt > bAmt {
 					bn, bs, bAmt = ni, si, amt
 				}
 			}

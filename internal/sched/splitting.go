@@ -96,7 +96,6 @@ func (s *Splitting) SubjobDone(n *cluster.Node, sj *job.Subjob) {
 	s.prune()
 	j := sj.Job
 	if j.Finished {
-		s.untrack(j)
 		// Job end (Table 1): first queued job gets the node, whole.
 		if !s.queue.Empty() {
 			nj := s.queue.Pop()
@@ -148,8 +147,8 @@ func (s *Splitting) allocateToRunning(n *cluster.Node) {
 
 func (s *Splitting) track(j *job.Job) { s.running = append(s.running, j) }
 
-// prune drops jobs that finished without passing through SubjobDone (a
-// preemption can complete a job's last events).
+// prune drops finished jobs from the running list: every job that ended
+// at a SubjobDone, and any whose last events a preemption completed.
 func (s *Splitting) prune() {
 	kept := s.running[:0]
 	for _, j := range s.running {
@@ -158,13 +157,4 @@ func (s *Splitting) prune() {
 		}
 	}
 	s.running = kept
-}
-
-func (s *Splitting) untrack(j *job.Job) {
-	for i, r := range s.running {
-		if r == j {
-			s.running = append(s.running[:i], s.running[i+1:]...)
-			return
-		}
-	}
 }

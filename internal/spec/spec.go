@@ -144,15 +144,15 @@ type Workload struct {
 	PeakJobsPerHour float64 `json:"peak_jobs_per_hour,omitempty"`
 }
 
-// resolve builds the workload source for one run.
-func (w Workload) resolve(params model.Params, seed int64, jobsPerHour float64) (workload.Source, error) {
-	return workload.Resolve(w.Name, workload.Args{
+// args binds the workload's knobs to one run's parameters, seed and rate.
+func (w Workload) args(params model.Params, seed int64, jobsPerHour float64) workload.Args {
+	return workload.Args{
 		Params:          params,
 		Seed:            seed,
 		JobsPerHour:     jobsPerHour,
 		Swing:           w.Swing,
 		PeakJobsPerHour: w.PeakJobsPerHour,
-	})
+	}
 }
 
 func (w Workload) normalize() Workload {
@@ -281,13 +281,8 @@ func (s Spec) Validate() error {
 	if s.Load <= 0 {
 		return fmt.Errorf("spec: load_jobs_per_hour must be positive, got %v", s.Load)
 	}
-	src, err := s.Workload.resolve(params, 1, s.Load)
-	if err != nil {
+	if err := workload.Check(s.Workload.Name, s.Workload.args(params, s.Seed, s.Load)); err != nil {
 		return err
-	}
-	// Only the error was wanted: give the source's storage back.
-	if g, ok := src.(*workload.Generator); ok {
-		g.Release()
 	}
 	if _, err := s.Faults.Model(); err != nil {
 		return fmt.Errorf("spec: faults: %w", err)
@@ -383,7 +378,7 @@ func (s Spec) Scenario() (lab.Scenario, error) {
 	// NewWorkload, called with the same seed (run seed + 1).
 	if wl.normalize().Name != "poisson" {
 		sc.NewWorkload = func(seed int64, jobsPerHour float64) workload.Source {
-			src, err := wl.resolve(params, seed, jobsPerHour)
+			src, err := workload.Resolve(wl.Name, wl.args(params, seed, jobsPerHour))
 			if err != nil {
 				panic(err)
 			}

@@ -132,6 +132,36 @@ func TestHashSensitivity(t *testing.T) {
 	}
 }
 
+// TestHashAllocs pins what hashing a spec allocates: encoding and
+// digesting it, and no workload source. Validation once built and seeded
+// a generator per hash, which cost a 607-word random source from the
+// freelist and several allocations more.
+func TestHashAllocs(t *testing.T) {
+	for _, wl := range []Workload{{}, {Name: "daynight", Swing: 0.5}} {
+		s := smallSpec()
+		s.Workload = wl
+		if _, err := s.Hash(); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(50, func() { s.Hash() }); n > 5 {
+			t.Errorf("workload %q: Hash allocates %v times, want at most 5", wl.Name, n)
+		}
+	}
+}
+
+// BenchmarkSpecHash measures hashing one cell's spec, which the lab and
+// physchedd do for every cell of every grid: validate, canonicalise,
+// digest.
+func BenchmarkSpecHash(b *testing.B) {
+	s := smallSpec()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Hash(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestValidateRejectsBadSpecs(t *testing.T) {
 	cases := map[string]Spec{
 		"missing policy":    {Load: 1},

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"physched/internal/model"
@@ -47,32 +48,66 @@ func TestResolveUnknownKind(t *testing.T) {
 	}
 }
 
-func TestResolveValidatesArgs(t *testing.T) {
-	bad := []struct {
-		name string
-		args Args
+// TestCheckMatchesResolve requires Check to return exactly Resolve's
+// error for each built-in kind, over invalid and valid arguments alike,
+// so spec validation (which calls Check) and compilation (which calls
+// Resolve) cannot drift apart.
+func TestCheckMatchesResolve(t *testing.T) {
+	p := model.PaperCalibrated()
+	cases := []struct {
+		name    string
+		args    Args
+		wantErr bool
 	}{
-		{"poisson", Args{Params: model.PaperCalibrated()}},                                      // zero rate
-		{"poisson", Args{Params: model.PaperCalibrated(), JobsPerHour: 1, Swing: 0.5}},          // dead swing
-		{"poisson", Args{Params: model.PaperCalibrated(), JobsPerHour: 1, PeakJobsPerHour: 2}},  // dead peak
-		{"daynight", Args{Params: model.PaperCalibrated(), JobsPerHour: 1, Swing: 1.5}},         // swing out of range
-		{"daynight", Args{Params: model.PaperCalibrated(), JobsPerHour: 2, PeakJobsPerHour: 1}}, // peak below mean
+		{"poisson", Args{Params: p}, true},                                                    // zero rate
+		{"poisson", Args{Params: p, JobsPerHour: -1}, true},                                   // negative rate
+		{"poisson", Args{Params: p, JobsPerHour: 1, Swing: 0.5}, true},                        // dead swing
+		{"poisson", Args{Params: p, JobsPerHour: 1, PeakJobsPerHour: 2}, true},                // dead peak
+		{"poisson", Args{Params: p, JobsPerHour: 1}, false},                                   // valid
+		{"", Args{Params: p, JobsPerHour: 1, Swing: 0.5}, true},                               // empty name is poisson
+		{"", Args{Params: p, JobsPerHour: 1}, false},                                          // valid
+		{"daynight", Args{Params: p}, true},                                                   // zero rate
+		{"daynight", Args{Params: p, JobsPerHour: -2, Swing: 0.5}, true},                      // negative rate
+		{"daynight", Args{Params: p, JobsPerHour: 1, Swing: 1}, true},                         // swing at 1
+		{"daynight", Args{Params: p, JobsPerHour: 1, Swing: 1.5}, true},                       // swing above 1
+		{"daynight", Args{Params: p, JobsPerHour: 1, Swing: -0.1}, true},                      // negative swing
+		{"daynight", Args{Params: p, JobsPerHour: 2, PeakJobsPerHour: 1}, true},               // peak below mean
+		{"daynight", Args{Params: p, JobsPerHour: 2, Swing: 0.5, PeakJobsPerHour: 2.9}, true}, // peak below own peak
+		{"daynight", Args{Params: p, JobsPerHour: 2, Swing: 0.5, PeakJobsPerHour: 3}, false},  // peak at own peak
+		{"daynight", Args{Params: p, JobsPerHour: 2, Swing: 0.5}, false},                      // valid
+		{"daynight", Args{Params: p, JobsPerHour: 2}, false},                                  // valid
+		{"bogus", Args{Params: p, JobsPerHour: 1}, true},                                      // unknown kind
 	}
-	for i, tc := range bad {
-		if _, err := Resolve(tc.name, tc.args); err == nil {
-			t.Errorf("case %d (%s): invalid args accepted", i, tc.name)
+	for i, tc := range cases {
+		checkErr := Check(tc.name, tc.args)
+		src, resolveErr := Resolve(tc.name, tc.args)
+		if (checkErr != nil) != tc.wantErr {
+			t.Errorf("case %d (%q %+v): Check error %v, want error %v", i, tc.name, tc.args, checkErr, tc.wantErr)
+		}
+		if fmt.Sprint(checkErr) != fmt.Sprint(resolveErr) {
+			t.Errorf("case %d (%q): Check error %q, Resolve error %q", i, tc.name, checkErr, resolveErr)
+		}
+		if (src == nil) != (resolveErr != nil) {
+			t.Errorf("case %d (%q): Resolve returned source %v with error %v", i, tc.name, src, resolveErr)
+		}
+		if g, ok := src.(*Generator); ok {
+			g.Release()
 		}
 	}
 }
 
 func TestRegisterRejectsDuplicatesAndBadInput(t *testing.T) {
-	if err := Register("poisson", func(Args) (Source, error) { return nil, nil }); err == nil {
+	ok := Kind{Check: func(Args) error { return nil }, Build: func(Args) Source { return nil }}
+	if err := Register("poisson", ok); err == nil {
 		t.Error("double registration of \"poisson\" accepted")
 	}
-	if err := Register("", func(Args) (Source, error) { return nil, nil }); err == nil {
+	if err := Register("", ok); err == nil {
 		t.Error("empty-name registration accepted")
 	}
-	if err := Register("nilfactory", nil); err == nil {
-		t.Error("nil factory accepted")
+	if err := Register("nilcheck", Kind{Build: ok.Build}); err == nil {
+		t.Error("nil Check accepted")
+	}
+	if err := Register("nilbuild", Kind{Check: ok.Check}); err == nil {
+		t.Error("nil Build accepted")
 	}
 }
