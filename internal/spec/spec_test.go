@@ -134,8 +134,9 @@ func TestHashSensitivity(t *testing.T) {
 
 // TestHashAllocs pins what hashing a spec allocates: encoding and
 // digesting it, and no workload source. Validation once built and seeded
-// a generator per hash, which cost a 607-word random source from the
-// freelist and several allocations more.
+// a generator per hash, which took a 607-word random source from the
+// freelist and cost 3 to 5 allocations more. Hash allocates 5 times, 6
+// under the race detector.
 func TestHashAllocs(t *testing.T) {
 	for _, wl := range []Workload{{}, {Name: "daynight", Swing: 0.5}} {
 		s := smallSpec()
@@ -143,8 +144,8 @@ func TestHashAllocs(t *testing.T) {
 		if _, err := s.Hash(); err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(50, func() { s.Hash() }); n > 5 {
-			t.Errorf("workload %q: Hash allocates %v times, want at most 5", wl.Name, n)
+		if n := testing.AllocsPerRun(50, func() { s.Hash() }); n > 6 {
+			t.Errorf("workload %q: Hash allocates %v times, want at most 6", wl.Name, n)
 		}
 	}
 }

@@ -66,10 +66,10 @@ func Register(name string, k Kind) error {
 // The empty name resolves to "poisson", the paper's homogeneous stream.
 func Resolve(name string, a Args) (Source, error) {
 	k, err := lookup(name)
-	if err == nil {
-		err = k.Check(a)
-	}
 	if err != nil {
+		return nil, err
+	}
+	if err := k.Check(a); err != nil {
 		return nil, err
 	}
 	return k.Build(a), nil

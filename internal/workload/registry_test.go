@@ -48,11 +48,12 @@ func TestResolveUnknownKind(t *testing.T) {
 	}
 }
 
-// TestCheckMatchesResolve requires Check to return exactly Resolve's
-// error for each built-in kind, over invalid and valid arguments alike,
-// so spec validation (which calls Check) and compilation (which calls
-// Resolve) cannot drift apart.
-func TestCheckMatchesResolve(t *testing.T) {
+// TestResolveValidatesArgs requires Resolve to reject exactly the
+// invalid arguments of each built-in kind, and Check to return exactly
+// Resolve's error, over invalid and valid arguments alike, so spec
+// validation (which calls Check) and compilation (which calls Resolve)
+// cannot drift apart.
+func TestResolveValidatesArgs(t *testing.T) {
 	p := model.PaperCalibrated()
 	cases := []struct {
 		name    string
