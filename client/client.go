@@ -109,14 +109,14 @@ func (p Page) query() url.Values {
 	return q
 }
 
-// Policies lists one page of registered scheduling policies.
+// Policies lists one page of the built-in scheduling policies.
 func (c *Client) Policies(ctx context.Context, p Page) (PolicyList, error) {
 	var out PolicyList
 	err := c.do(ctx, http.MethodGet, "/v1/policies"+encodeQuery(p.query()), nil, &out)
 	return out, err
 }
 
-// Workloads lists one page of registered workload kinds.
+// Workloads lists one page of the built-in workload kinds.
 func (c *Client) Workloads(ctx context.Context, p Page) (WorkloadList, error) {
 	var out WorkloadList
 	err := c.do(ctx, http.MethodGet, "/v1/workloads"+encodeQuery(p.query()), nil, &out)

@@ -37,8 +37,8 @@
 //	GET  /healthz                 liveness probe
 //	GET  /metrics                 Prometheus text metrics (pool, cache,
 //	                              jobs, admission)
-//	GET  /v1/policies             registered scheduling policies
-//	GET  /v1/workloads            registered workload kinds
+//	GET  /v1/policies             built-in scheduling policies
+//	GET  /v1/workloads            built-in workload kinds
 //	POST /v1/specs                run one spec; JSON result (cache-aware)
 //	POST /v1/grids                run a grid spec; NDJSON progress stream
 //	                              terminated by a result line

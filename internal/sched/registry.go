@@ -2,15 +2,13 @@ package sched
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"physched/internal/model"
 )
 
-// Args carries the serialisable parameters a registered policy factory may
-// consume. Every field is optional; factories apply their own defaults, so
-// the zero Args is valid for every built-in policy. Args is deliberately a
+// Args carries the serialisable parameters a built-in policy may take.
+// Every field is optional; each policy applies its own defaults, so the
+// zero Args is valid for every built-in policy. Args is deliberately a
 // closed set of plain values: it is the part of a policy specification
 // that travels through JSON spec files, content hashes and the physchedd
 // wire protocol.
@@ -23,67 +21,89 @@ type Args struct {
 	MaxWaitHours float64
 }
 
-// Factory builds a fresh policy instance from its serialisable arguments.
-// Policies are stateful, so a factory is invoked once per simulation run.
-type Factory func(Args) (Policy, error)
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Factory{}
-)
-
-// Register makes a policy constructible by name through New, extending the
-// set of policies reachable from spec files and the physchedd service
-// without touching this package. It rejects empty names and names already
-// taken (including the built-ins).
-func Register(name string, f Factory) error {
-	if name == "" {
-		return fmt.Errorf("sched: Register with empty policy name")
-	}
-	if f == nil {
-		return fmt.Errorf("sched: Register %q with nil factory", name)
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		return fmt.Errorf("sched: policy %q already registered", name)
-	}
-	registry[name] = f
-	return nil
+// builtin is one policy reachable by name: which Args it takes, and how to
+// build a fresh instance from Args that check accepted. Policies are
+// stateful, so build runs once per simulation run.
+type builtin struct {
+	name                   string
+	delay, stripe, maxWait bool
+	build                  func(Args) Policy
 }
 
-// mustRegister is Register for the built-ins, where a failure is a
-// programming error.
-func mustRegister(name string, f Factory) {
-	if err := Register(name, f); err != nil {
-		panic(err)
-	}
+// builtins is the fixed set of policies reachable from spec files and the
+// physchedd service, sorted by name.
+var builtins = [...]builtin{
+	{name: "adaptive", stripe: true, build: func(a Args) Policy { return NewAdaptive(stripeOrDefault(a)) }},
+	{name: "affinefarm", build: func(Args) Policy { return NewAffineFarm() }},
+	{name: "cacheoriented", build: func(Args) Policy { return NewCacheOriented() }},
+	{name: "delayed", delay: true, stripe: true, build: func(a Args) Policy {
+		return NewDelayed(a.DelayHours*model.Hour, stripeOrDefault(a))
+	}},
+	{name: "farm", build: func(Args) Policy { return NewFarm() }},
+	{name: "outoforder", maxWait: true, build: func(a Args) Policy { return withMaxWait(NewOutOfOrder(), a) }},
+	{name: "partitioned", build: func(Args) Policy { return NewPartitioned() }},
+	{name: "replication", maxWait: true, build: func(a Args) Policy { return withMaxWait(NewReplication(), a) }},
+	{name: "splitting", build: func(Args) Policy { return NewSplitting() }},
 }
 
 // New builds the named policy with the given arguments. Unknown names
-// report the registered ones, so a typo in a spec file is self-diagnosing.
+// report the known ones, so a typo in a spec file is self-diagnosing.
 func New(name string, a Args) (Policy, error) {
+	b, err := check(name, a)
+	if err != nil {
+		return nil, err
+	}
+	return b.build(a), nil
+}
+
+// Check reports the error New would return for the same name and
+// arguments, without building a policy.
+func Check(name string, a Args) error {
+	_, err := check(name, a)
+	return err
+}
+
+// check finds the named policy and rejects arguments it does not take and
+// negative ones. A spec naming the farm policy with delay_hours set would
+// otherwise validate, run a plain farm, and make the user believe delayed
+// scheduling was simulated — dead arguments must fail as loudly as
+// misspelled field names do.
+func check(name string, a Args) (*builtin, error) {
 	if name == "" {
 		return nil, fmt.Errorf("sched: policy name missing (known: %v)", Names())
 	}
-	registryMu.RLock()
-	f, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("sched: unknown policy %q (known: %v)", name, Names())
+	var b *builtin
+	for i := range builtins {
+		if builtins[i].name == name {
+			b = &builtins[i]
+			break
+		}
 	}
-	return f(a)
+	switch {
+	case b == nil:
+		return nil, fmt.Errorf("sched: unknown policy %q (known: %v)", name, Names())
+	case !b.delay && a.DelayHours != 0:
+		return nil, fmt.Errorf("sched: policy %q does not take delay_hours", name)
+	case !b.stripe && a.StripeEvents != 0:
+		return nil, fmt.Errorf("sched: policy %q does not take stripe_events", name)
+	case !b.maxWait && a.MaxWaitHours != 0:
+		return nil, fmt.Errorf("sched: policy %q does not take max_wait_hours", name)
+	case a.DelayHours < 0:
+		return nil, fmt.Errorf("sched: delayed policy needs a non-negative delay, got %v h", a.DelayHours)
+	case a.StripeEvents < 0:
+		return nil, fmt.Errorf("sched: stripe_events must be non-negative, got %d", a.StripeEvents)
+	case a.MaxWaitHours < 0:
+		return nil, fmt.Errorf("sched: max_wait_hours must be non-negative, got %v", a.MaxWaitHours)
+	}
+	return b, nil
 }
 
-// Names lists the registered policy names, sorted.
+// Names lists the built-in policy names, sorted.
 func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
+	out := make([]string, len(builtins))
+	for i, b := range builtins {
+		out[i] = b.name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -95,79 +115,10 @@ func stripeOrDefault(a Args) int64 {
 	return DefaultStripe
 }
 
-// rejectUnused fails when a carries an argument the policy does not
-// consume. A spec naming the farm policy with delay_hours set would
-// otherwise validate, run a plain farm, and make the user believe delayed
-// scheduling was simulated — dead arguments must fail as loudly as
-// misspelled field names do.
-func rejectUnused(name string, a Args, delay, stripe, maxWait bool) error {
-	if !delay && a.DelayHours != 0 {
-		return fmt.Errorf("sched: policy %q does not take delay_hours", name)
+// withMaxWait applies the optional out-of-order aging-limit override.
+func withMaxWait(p *OutOfOrder, a Args) Policy {
+	if a.MaxWaitHours > 0 {
+		p.MaxWait = a.MaxWaitHours * model.Hour
 	}
-	if !stripe && a.StripeEvents != 0 {
-		return fmt.Errorf("sched: policy %q does not take stripe_events", name)
-	}
-	if !maxWait && a.MaxWaitHours != 0 {
-		return fmt.Errorf("sched: policy %q does not take max_wait_hours", name)
-	}
-	return nil
-}
-
-// argless registers a policy that consumes no arguments.
-func argless(name string, mk func() Policy) {
-	mustRegister(name, func(a Args) (Policy, error) {
-		if err := rejectUnused(name, a, false, false, false); err != nil {
-			return nil, err
-		}
-		return mk(), nil
-	})
-}
-
-// outOfOrderFactory builds the out-of-order family (plain or replicating)
-// with the optional aging-limit override.
-func outOfOrderFactory(name string, mk func() *OutOfOrder) Factory {
-	return func(a Args) (Policy, error) {
-		if err := rejectUnused(name, a, false, false, true); err != nil {
-			return nil, err
-		}
-		if a.MaxWaitHours < 0 {
-			return nil, fmt.Errorf("sched: max_wait_hours must be non-negative, got %v", a.MaxWaitHours)
-		}
-		p := mk()
-		if a.MaxWaitHours > 0 {
-			p.MaxWait = a.MaxWaitHours * model.Hour
-		}
-		return p, nil
-	}
-}
-
-func init() {
-	argless("farm", func() Policy { return NewFarm() })
-	argless("splitting", func() Policy { return NewSplitting() })
-	argless("cacheoriented", func() Policy { return NewCacheOriented() })
-	argless("partitioned", func() Policy { return NewPartitioned() })
-	argless("affinefarm", func() Policy { return NewAffineFarm() })
-	mustRegister("outoforder", outOfOrderFactory("outoforder", NewOutOfOrder))
-	mustRegister("replication", outOfOrderFactory("replication", NewReplication))
-	mustRegister("delayed", func(a Args) (Policy, error) {
-		if err := rejectUnused("delayed", a, true, true, false); err != nil {
-			return nil, err
-		}
-		if a.DelayHours < 0 {
-			return nil, fmt.Errorf("sched: delayed policy needs a non-negative delay, got %v h", a.DelayHours)
-		}
-		if a.StripeEvents < 0 {
-			return nil, fmt.Errorf("sched: stripe_events must be non-negative, got %d", a.StripeEvents)
-		}
-		return NewDelayed(a.DelayHours*model.Hour, stripeOrDefault(a)), nil
-	})
-	mustRegister("adaptive", func(a Args) (Policy, error) {
-		if err := rejectUnused("adaptive", a, false, true, false); err != nil {
-			return nil, err
-		}
-		if a.StripeEvents < 0 {
-			return nil, fmt.Errorf("sched: stripe_events must be non-negative, got %d", a.StripeEvents)
-		}
-		return NewAdaptive(stripeOrDefault(a)), nil
-	})
+	return p
 }

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,14 +31,16 @@ func TestRegistryBuiltins(t *testing.T) {
 			t.Errorf("New(%q).Name() = %q, want %q", name, got, policyName)
 		}
 	}
+	sorted := []string{"adaptive", "affinefarm", "cacheoriented", "delayed",
+		"farm", "outoforder", "partitioned", "replication", "splitting"}
 	names := Names()
-	if len(names) < len(want) {
-		t.Errorf("Names() = %v, want at least the %d built-ins", names, len(want))
+	if !slices.Equal(names, sorted) {
+		t.Errorf("Names() = %v, want %v", names, sorted)
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("Names() not sorted: %v", names)
-		}
+	// Names hands out a copy: a caller's edit must not reach the table.
+	names[0] = "mutated"
+	if got := Names(); !slices.Equal(got, sorted) {
+		t.Errorf("Names() after editing a returned slice = %v, want %v", got, sorted)
 	}
 }
 
@@ -75,32 +79,6 @@ func TestRegistryUnknownAndMissingNames(t *testing.T) {
 	}
 }
 
-func TestRegistryRejectsDoubleRegistration(t *testing.T) {
-	if err := Register("farm", func(Args) (Policy, error) { return NewFarm(), nil }); err == nil {
-		t.Fatal("double registration of \"farm\" accepted")
-	}
-	if err := Register("", func(Args) (Policy, error) { return NewFarm(), nil }); err == nil {
-		t.Fatal("empty-name registration accepted")
-	}
-	if err := Register("nilfactory", nil); err == nil {
-		t.Fatal("nil factory accepted")
-	}
-}
-
-func TestRegistryExtension(t *testing.T) {
-	name := "test-registry-extension"
-	if err := Register(name, func(a Args) (Policy, error) { return NewFarm(), nil }); err != nil {
-		t.Fatal(err)
-	}
-	p, err := New(name, Args{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Name() != "farm" {
-		t.Errorf("extension policy name = %q", p.Name())
-	}
-}
-
 func TestRegistryInvalidArgs(t *testing.T) {
 	if _, err := New("delayed", Args{DelayHours: -1}); err == nil {
 		t.Error("negative delay accepted")
@@ -134,6 +112,30 @@ func TestRegistryRejectsDeadArgs(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := New(tc.name, tc.args); err == nil {
 			t.Errorf("%s with dead args %+v accepted", tc.name, tc.args)
+		}
+	}
+}
+
+// TestCheckMatchesNew requires Check to return exactly New's error for
+// every built-in name, the empty name and an unknown one, over zero,
+// positive and negative arguments, so spec validation (which calls Check)
+// and compilation (which calls New) cannot drift apart.
+func TestCheckMatchesNew(t *testing.T) {
+	args := []Args{
+		{},
+		{DelayHours: 2}, {StripeEvents: 500}, {MaxWaitHours: 24},
+		{DelayHours: -2}, {StripeEvents: -500}, {MaxWaitHours: -24},
+	}
+	for _, name := range append(Names(), "", "bogus") {
+		for _, a := range args {
+			checkErr := Check(name, a)
+			p, newErr := New(name, a)
+			if fmt.Sprint(checkErr) != fmt.Sprint(newErr) {
+				t.Errorf("%q %+v: Check error %q, New error %q", name, a, checkErr, newErr)
+			}
+			if (p == nil) != (newErr != nil) {
+				t.Errorf("%q %+v: New returned policy %v with error %v", name, a, p, newErr)
+			}
 		}
 	}
 }

@@ -9,6 +9,13 @@
 //	               (+ optional data replication, §4.2)
 //	delayed        delayed scheduling with periods and stripes (Table 4)
 //	adaptive       adaptive-delay scheduling (§6)
+//	partitioned    static data partitioning (related work [16])
+//	affinefarm     cache-affine farm, no job splitting
+//
+// The plugin seam is the Policy interface: a program adds a policy by
+// implementing it and handing its constructor to lab.Scenario.NewPolicy.
+// New and Check resolve names against a fixed table of the built-ins
+// above, the only policies spec files and the physchedd service can name.
 package sched
 
 import (

@@ -2,10 +2,11 @@
 // canonical, JSON-round-trippable descriptions of simulation scenarios
 // (Spec) and scenario grids (Grid), in place of the Go closures that
 // parameterise lab.Scenario. Policies and workloads are referenced by
-// name and resolved through the extensible registries in internal/sched
-// and internal/workload, so a spec can be stored in a version-controlled
-// file, submitted to the physchedd service, hashed for content-addressed
-// result caching (internal/resultcache), and replayed bit-identically.
+// name and resolved through the fixed tables of built-ins in
+// internal/sched and internal/workload, so a spec can be stored in a
+// version-controlled file, submitted to the physchedd service, hashed for
+// content-addressed result caching (internal/resultcache), and replayed
+// bit-identically.
 //
 // Canonical form: Canonical returns the spec's canonical JSON encoding —
 // compact, field-ordered, with defaults normalised (empty preset →
@@ -106,12 +107,12 @@ func (p Params) normalize() Params {
 	return p
 }
 
-// Policy selects a scheduling policy by registry name plus its
-// serialisable parameters (see sched.Register and sched.Args).
+// Policy selects a built-in scheduling policy by name plus its
+// serialisable parameters (see sched.New and sched.Args).
 type Policy struct {
-	// Name is a registered policy: farm | splitting | cacheoriented |
+	// Name is one of sched.Names(): farm | splitting | cacheoriented |
 	// outoforder | replication | delayed | adaptive | partitioned |
-	// affinefarm, or any extension registered via sched.Register.
+	// affinefarm.
 	Name string `json:"name"`
 	// DelayHours is the delayed policy's period, in hours.
 	DelayHours float64 `json:"delay_hours,omitempty"`
@@ -121,21 +122,20 @@ type Policy struct {
 	MaxWaitHours float64 `json:"max_wait_hours,omitempty"`
 }
 
-// New instantiates the policy through the sched registry.
-func (p Policy) New() (sched.Policy, error) {
-	return sched.New(p.Name, sched.Args{
+// args is the policy's parameters as sched.New and sched.Check take them.
+func (p Policy) args() sched.Args {
+	return sched.Args{
 		DelayHours:   p.DelayHours,
 		StripeEvents: p.StripeEvents,
 		MaxWaitHours: p.MaxWaitHours,
-	})
+	}
 }
 
-// Workload selects a job-stream kind by registry name plus its
-// serialisable parameters (see workload.Register and workload.Args). The
+// Workload selects a built-in job-stream kind by name plus its
+// serialisable parameters (see workload.Resolve and workload.Args). The
 // zero value is the paper's homogeneous Poisson stream.
 type Workload struct {
-	// Name is a registered kind: poisson (default) | daynight, or any
-	// extension registered via workload.Register.
+	// Name is one of workload.Names(): poisson (default) | daynight.
 	Name string `json:"name,omitempty"`
 	// Swing is the day/night contrast in [0,1) for the daynight kind.
 	Swing float64 `json:"swing,omitempty"`
@@ -275,7 +275,7 @@ func (s Spec) Validate() error {
 	if err != nil {
 		return err
 	}
-	if _, err := s.Policy.New(); err != nil {
+	if err := sched.Check(s.Policy.Name, s.Policy.args()); err != nil {
 		return err
 	}
 	if s.Load <= 0 {
@@ -340,7 +340,7 @@ func (s Spec) Hash() (string, error) {
 }
 
 // Scenario compiles the spec into a runnable lab.Scenario, resolving the
-// policy and workload names through their registries. All validation
+// policy and workload names through sched and workload. All validation
 // happens here; the returned scenario's closures cannot fail.
 func (s Spec) Scenario() (lab.Scenario, error) {
 	if err := s.Validate(); err != nil {
@@ -354,13 +354,13 @@ func (s Spec) Scenario() (lab.Scenario, error) {
 	if err != nil {
 		return lab.Scenario{}, err
 	}
-	pol, wl := s.Policy, s.Workload
+	policy, args, wl := s.Policy.Name, s.Policy.args(), s.Workload
 	sc := lab.Scenario{
 		Params: params,
 		NewPolicy: func() sched.Policy {
-			p, err := pol.New()
+			p, err := sched.New(policy, args)
 			if err != nil {
-				panic(err) // validated above; registries are append-only
+				panic(err) // validated above; the policy table is fixed
 			}
 			return p
 		},

@@ -96,19 +96,3 @@ func TestResolveValidatesArgs(t *testing.T) {
 		}
 	}
 }
-
-func TestRegisterRejectsDuplicatesAndBadInput(t *testing.T) {
-	ok := Kind{Check: func(Args) error { return nil }, Build: func(Args) Source { return nil }}
-	if err := Register("poisson", ok); err == nil {
-		t.Error("double registration of \"poisson\" accepted")
-	}
-	if err := Register("", ok); err == nil {
-		t.Error("empty-name registration accepted")
-	}
-	if err := Register("nilcheck", Kind{Build: ok.Build}); err == nil {
-		t.Error("nil Check accepted")
-	}
-	if err := Register("nilbuild", Kind{Check: ok.Check}); err == nil {
-		t.Error("nil Build accepted")
-	}
-}

@@ -22,11 +22,12 @@
 //	fmt.Printf("speedup %.1f, waiting %.0fs\n", res.AvgSpeedup, res.AvgWaiting)
 //
 // Scenarios exist in two forms. The programmatic form (Scenario) carries
-// Go closures and is what Run executes. The declarative form (Spec,
-// GridSpec) is serialisable, canonical JSON: policies and workloads are
-// named PolicySpec/WorkloadSpec values resolved through extensible
-// registries (sched.Register, workload.Register), Spec.Scenario compiles
-// a spec into a Scenario, and the SHA-256 of a spec's canonical encoding
+// Go closures and is what Run executes; a program adds a policy of its
+// own by implementing Policy and handing Scenario.NewPolicy its
+// constructor. The declarative form (GridSpec) is serialisable, canonical
+// JSON whose policy and workload names resolve to the nine built-in
+// policies and the two built-in workload kinds. A spec compiles into a
+// Scenario, and the SHA-256 of a spec's canonical encoding
 // content-addresses its result for caching (OpenResultCache) and for the
 // cmd/physchedd HTTP service, which executes POSTed grid specs with
 // streamed NDJSON progress and serves cached results by hash. A spec or
@@ -142,34 +143,11 @@ func NewWorkloadReplay(r io.Reader) (WorkloadSource, error) {
 	return workload.NewReplay(r)
 }
 
-// Spec is the declarative, serialisable form of one scenario: canonical
-// JSON with registry-resolved policy and workload names. Spec.Scenario
-// compiles it; Spec.Hash content-addresses it.
-type Spec = spec.Spec
-
-// GridSpec is the declarative form of a scenario grid — a base Spec
+// GridSpec is the declarative form of a scenario grid — a base spec
 // crossed with variants, a load axis and a seed axis. GridSpec.Compile
 // yields an executable grid; GridSpec.Keys feeds Options for result
 // caching.
 type GridSpec = spec.Grid
-
-// PolicySpec names a scheduling policy plus its serialisable arguments,
-// resolved through the sched registry (sched.Register extends it).
-type PolicySpec = spec.Policy
-
-// WorkloadSpec names a workload kind plus its serialisable arguments,
-// resolved through the workload registry (workload.Register extends it).
-type WorkloadSpec = spec.Workload
-
-// ParamsSpec is the declarative cluster-parameter overlay of a Spec.
-type ParamsSpec = spec.Params
-
-// FaultsSpec is the declarative node-churn block of a Spec, mirroring
-// FaultModel field by field.
-type FaultsSpec = spec.Faults
-
-// VariantSpec is one declarative grid variant (whole-field overlays).
-type VariantSpec = spec.Variant
 
 // ParseGridSpec reads a JSON grid spec file, rejecting unknown fields.
 func ParseGridSpec(r io.Reader) (GridSpec, error) { return spec.ParseGrid(r) }
