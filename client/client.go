@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -306,19 +305,16 @@ func (c *Client) stream(ctx context.Context, method, path string, body io.Reader
 	if resp.StatusCode != http.StatusOK {
 		return streamEnd{}, apiError(resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		var kind struct {
-			Type string `json:"type"`
+	lr := newLineReader(resp.Body, "NDJSON")
+	for lr.Scan() {
+		kind, err := lr.readType()
+		if err != nil {
+			return streamEnd{}, err
 		}
-		if err := json.Unmarshal(sc.Bytes(), &kind); err != nil {
-			return streamEnd{}, fmt.Errorf("physchedd: bad NDJSON line %q: %w", sc.Text(), err)
-		}
-		switch kind.Type {
+		switch kind {
 		case "progress":
 			var p ProgressLine
-			if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
+			if err := lr.decode(&p, &p.Type); err != nil {
 				return streamEnd{}, err
 			}
 			if onProgress != nil {
@@ -326,27 +322,32 @@ func (c *Client) stream(ctx context.Context, method, path string, body io.Reader
 			}
 		case "result":
 			var r ResultLine
-			if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			if err := lr.decode(&r, &r.Type); err != nil {
 				return streamEnd{}, err
 			}
 			return streamEnd{kind: "result", result: &r}, nil
 		case "study":
 			var s StudyLine
-			if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
+			if err := lr.decode(&s, &s.Type); err != nil {
 				return streamEnd{}, err
 			}
 			return streamEnd{kind: "study", study: &s}, nil
 		case "error":
 			var e ErrorLine
-			if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+			if err := lr.decode(&e, &e.Type); err != nil {
 				return streamEnd{}, err
 			}
 			return streamEnd{}, fmt.Errorf("physchedd: stream error: %s", e.Error)
 		default:
-			return streamEnd{}, fmt.Errorf("physchedd: unexpected stream line type %q", kind.Type)
+			// The type may have come off the prefix alone: a line that
+			// is not JSON is still a bad line, not an unknown type.
+			if err := lr.decode(&struct{}{}, nil); err != nil {
+				return streamEnd{}, err
+			}
+			return streamEnd{}, fmt.Errorf("physchedd: unexpected stream line type %q", kind)
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.Err(); err != nil {
 		return streamEnd{}, err
 	}
 	return streamEnd{}, fmt.Errorf("physchedd: stream ended without a terminal line")

@@ -1,10 +1,8 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -58,38 +56,34 @@ func (c *Client) JobTrace(ctx context.Context, id string) ([]TraceCell, error) {
 // the format is pinned by tests, so leniency would only hide breakage.
 func decodeTrace(r io.Reader) ([]TraceCell, error) {
 	var cells []TraceCell
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
+	lr := newLineReader(r, "trace")
+	for lr.Scan() {
+		if len(bytes.TrimSpace(lr.Bytes())) == 0 {
 			continue
 		}
-		var kind struct {
-			Type string `json:"type"`
+		kind, err := lr.readType()
+		if err != nil {
+			return nil, err
 		}
-		if err := json.Unmarshal(line, &kind); err != nil {
-			return nil, fmt.Errorf("physchedd: bad trace line %q: %w", sc.Text(), err)
-		}
-		if kind.Type == "cell" {
+		if kind == "cell" {
 			var h TraceCellHeader
-			if err := json.Unmarshal(line, &h); err != nil {
-				return nil, fmt.Errorf("physchedd: bad trace header %q: %w", sc.Text(), err)
+			if err := lr.decode(&h, &h.Type); err != nil {
+				return nil, err
 			}
 			cells = append(cells, TraceCell{Header: h})
 			continue
 		}
 		if len(cells) == 0 {
-			return nil, fmt.Errorf("physchedd: trace event before any cell header: %q", sc.Text())
+			return nil, fmt.Errorf("physchedd: trace event before any cell header: %s", lr.excerpt())
 		}
 		var ev trace.Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return nil, fmt.Errorf("physchedd: bad trace event %q: %w", sc.Text(), err)
+		if err := lr.decode(&ev, nil); err != nil {
+			return nil, err
 		}
 		last := &cells[len(cells)-1]
 		last.Events = append(last.Events, ev)
 	}
-	if err := sc.Err(); err != nil {
+	if err := lr.Err(); err != nil {
 		return nil, err
 	}
 	return cells, nil

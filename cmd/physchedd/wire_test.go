@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"physched/client"
 )
 
 var update = flag.Bool("update", false, "rewrite golden wire-format files")
@@ -55,6 +57,29 @@ func TestJobWireFormatGolden(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s drifted from the pinned wire format:\ngot:\n%s\nwant:\n%s", tc.golden, got, want)
+		}
+	}
+}
+
+// TestStreamLinesOpenWithType pins the key order the client's stream
+// reader relies on: every line type the server streams marshals with
+// "type" as its first key, so the client reads the type off the line's
+// prefix. A struct whose Type field moved would still decode, only
+// every line would take the client's slower full-decode path.
+func TestStreamLinesOpenWithType(t *testing.T) {
+	for _, v := range []any{
+		progressLine{Type: "progress", Done: 1, Total: 2, Label: "a", Load: 0.8, Seed: 1},
+		resultLine{Type: "result", GridHash: "g", Cells: []cellResult{{Hash: "h"}}},
+		studyLine{Type: "study", StudyHash: "s"},
+		errorLine{Type: "error", Error: "boom"},
+		client.TraceCellHeader{Type: "cell", Hash: "h", Label: "a", Events: 1},
+	} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, []byte(`{"type":"`)) {
+			t.Errorf("%T marshals as %s: \"type\" is not its first key", v, b)
 		}
 	}
 }
